@@ -2,13 +2,10 @@
 // points grows, on the Adult generator (the paper sweeps 1K..40K rows).
 // Points are the paper's, scaled by --scale.
 //
-// The sweep includes SALIMI, whose per-block MaxSAT repair was the reason
-// larger sizes used to be impractical under the WalkSAT engine: flips
-// scale with block size, so the biggest points burned their whole budget
-// without proving anything. The CDCL default solves the same blocks to
-// proven optimality orders of magnitude faster (see BENCH_solvers.json);
-// --legacy-maxsat flips the process-wide default back to WalkSAT to
-// reproduce the old behavior for comparison runs.
+// The sweep includes SALIMI, whose per-block MaxSAT repair is the step the
+// paper blames for its runtime: the minimal repair is NP-hard. The CDCL
+// core solves every block to proven optimality (see BENCH_solvers.json),
+// so all SALIMI points complete.
 
 #include <cstdio>
 #include <cstring>
@@ -16,18 +13,14 @@
 
 #include "bench_common.h"
 #include "core/scalability.h"
-#include "optim/maxsat.h"
 
 int main(int argc, char** argv) {
   using namespace fairbench;
   std::string json_path;
-  bool legacy_maxsat = false;
   std::vector<char*> rest = {argv[0]};
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--legacy-maxsat") == 0) {
-      legacy_maxsat = true;
     } else {
       rest.push_back(argv[i]);
     }
@@ -35,10 +28,6 @@ int main(int argc, char** argv) {
   const bench::BenchArgs args =
       bench::ParseArgs(static_cast<int>(rest.size()), rest.data());
   bench::PrintBanner("Fig 11(a-c): runtime vs data size (Adult)", args);
-  if (legacy_maxsat) {
-    SetDefaultMaxSatEngine(MaxSatEngine::kLocalSearch);
-    std::printf("maxsat engine: legacy WalkSAT (--legacy-maxsat)\n");
-  }
 
   std::vector<std::size_t> sizes;
   for (std::size_t base : {1000, 2000, 5000, 10000, 20000, 40000}) {
@@ -73,10 +62,9 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "{\n  \"source\": \"bench/fig11_scal_size\",\n"
                  "  \"seed\": %llu,\n  \"scale\": %.6f,\n"
-                 "  \"build_type\": \"%s\",\n"
-                 "  \"maxsat_engine\": \"%s\",\n  \"curves\": [\n",
+                 "  \"build_type\": \"%s\",\n  \"curves\": [\n",
                  static_cast<unsigned long long>(args.seed), args.scale,
-                 build_type, legacy_maxsat ? "walksat" : "cdcl");
+                 build_type);
     const std::vector<RuntimeCurve>& cs = curves.value();
     for (std::size_t c = 0; c < cs.size(); ++c) {
       std::fprintf(f, "    {\"id\": \"%s\", \"points\": [\n",

@@ -1,7 +1,6 @@
-// Solver scaling: the CDCL MaxSAT core vs the seed WalkSAT engine on
-// SALIMI-shaped repair blocks of growing size, and the warm-started
-// revised simplex vs cold solves on HARDT's equalized-odds LP across a
-// 5-fold CV sweep.
+// Solver scaling: the CDCL MaxSAT core on SALIMI-shaped repair blocks of
+// growing size, and the warm-started revised simplex vs cold solves on
+// HARDT's equalized-odds LP across a 5-fold CV sweep.
 //
 //   solver_scaling [--seed n] [--reps n] [--folds n] [--sweeps n]
 //                  [--json file]
@@ -18,9 +17,8 @@
 //
 // The MaxSAT instances mirror src/fair/pre/salimi.cc's per-A-block shape
 // (unit soft presence preferences, 3-literal cross-product closure hards)
-// with the same fallback flip budget SALIMI passes, so the speedup is the
-// one an end-to-end repair sees per block. The human-readable tables
-// always go to stdout.
+// with SALIMI's default options, so the time is the one an end-to-end
+// repair sees per block. The human-readable tables always go to stdout.
 
 #include <algorithm>
 #include <cstdio>
@@ -122,26 +120,6 @@ LinearProgram HardtFoldLp(uint64_t seed, std::size_t fold) {
   return lp;
 }
 
-/// Random bounded LP for the tableau-vs-revised size sweep (feasible by
-/// construction: x = 0 satisfies every row, all uppers finite).
-LinearProgram RandomLp(std::size_t n, std::size_t m, uint64_t seed) {
-  Rng rng(seed);
-  LinearProgram lp;
-  lp.c.resize(n);
-  lp.upper.resize(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    lp.c[j] = rng.Uniform(-2.0, 2.0);
-    lp.upper[j] = rng.Uniform(0.5, 3.0);
-  }
-  lp.a_ub = Matrix(m, n, 0.0);
-  lp.b_ub.resize(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) lp.a_ub(i, j) = rng.Uniform(-1.0, 1.0);
-    lp.b_ub[i] = rng.Uniform(0.1, 2.0);
-  }
-  return lp;
-}
-
 double Median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   return v[v.size() / 2];
@@ -178,14 +156,12 @@ int main(int argc, char** argv) {
   const char* build_type = "debug";
 #endif
 
-  // --- MaxSAT: legacy WalkSAT vs CDCL on growing SALIMI blocks. ---
+  // --- MaxSAT: CDCL on growing SALIMI blocks. ---
   const std::vector<int> kBlockSizes = {6, 8, 12, 16, 24, 32};
   struct MaxSatRep {
-    double legacy_seconds = 0.0;
-    double cdcl_seconds = 0.0;
-    double legacy_weight = 0.0;
-    double cdcl_weight = 0.0;
-    bool cdcl_optimal = false;
+    double seconds = 0.0;
+    double weight = 0.0;
+    bool optimal = false;
   };
   struct MaxSatPoint {
     int ni = 0;
@@ -194,9 +170,8 @@ int main(int argc, char** argv) {
     std::vector<MaxSatRep> runs;
   };
   std::vector<MaxSatPoint> maxsat_points;
-  std::printf("%-10s %6s %8s %12s %12s %9s %9s %9s\n", "salimi ni", "vars",
-              "clauses", "walksat ms", "cdcl ms", "speedup", "walk wt",
-              "cdcl wt");
+  std::printf("%-10s %6s %8s %12s %9s %7s\n", "salimi ni", "vars", "clauses",
+              "cdcl ms", "weight", "proven");
   for (int ni : kBlockSizes) {
     MaxSatInstance inst = SalimiBlock(ni, DeriveSeed(args.seed, ni));
     MaxSatPoint point;
@@ -204,48 +179,27 @@ int main(int argc, char** argv) {
     point.vars = inst.num_vars;
     point.clauses = inst.clauses.size();
     for (std::size_t rep = 0; rep < reps; ++rep) {
-      // The exact budgets salimi.cc passes: the legacy engine enumerates
-      // below its threshold and walks above; the CDCL engine proves the
-      // optimum either way.
-      MaxSatOptions legacy;
-      legacy.engine = MaxSatEngine::kLocalSearch;
-      legacy.seed = DeriveSeed(args.seed, static_cast<uint64_t>(ni) * 131 + rep);
-      legacy.max_flips = std::min(20000, 400 * inst.num_vars);
-      MaxSatOptions cdcl = legacy;
-      cdcl.engine = MaxSatEngine::kCdcl;
-
-      MaxSatRep r;
+      MaxSatOptions options;
+      options.seed = DeriveSeed(args.seed, static_cast<uint64_t>(ni) * 131 + rep);
       Timer timer;
-      Result<MaxSatSolution> walk = SolveMaxSat(inst, legacy);
-      r.legacy_seconds = timer.ElapsedSeconds();
-      timer.Restart();
-      Result<MaxSatSolution> exact = SolveMaxSat(inst, cdcl);
-      r.cdcl_seconds = timer.ElapsedSeconds();
-      if (!walk.ok() || !exact.ok()) {
+      Result<MaxSatSolution> sol = SolveMaxSat(inst, options);
+      MaxSatRep r;
+      r.seconds = timer.ElapsedSeconds();
+      if (!sol.ok()) {
         std::fprintf(stderr, "maxsat solve failed: %s\n",
-                     (!walk.ok() ? walk : exact).status().ToString().c_str());
+                     sol.status().ToString().c_str());
         return 1;
       }
-      r.legacy_weight = walk->satisfied_weight;
-      r.cdcl_weight = exact->satisfied_weight;
-      r.cdcl_optimal = exact->optimal;
-      if (exact->satisfied_weight < walk->satisfied_weight - 1e-9) {
-        std::fprintf(stderr, "ni=%d: CDCL optimum below WalkSAT — bug\n", ni);
-        return 1;
-      }
+      r.weight = sol->satisfied_weight;
+      r.optimal = sol->optimal;
       point.runs.push_back(r);
     }
-    std::vector<double> legacy_s, cdcl_s;
-    for (const MaxSatRep& r : point.runs) {
-      legacy_s.push_back(r.legacy_seconds);
-      cdcl_s.push_back(r.cdcl_seconds);
-    }
-    const double lm = Median(legacy_s);
-    const double cm = Median(cdcl_s);
-    std::printf("%-10d %6d %8zu %11.3f  %11.3f  %8.1fx %9.0f %9.0f\n", ni,
-                point.vars, point.clauses, lm * 1e3, cm * 1e3,
-                cm > 0.0 ? lm / cm : 0.0, point.runs[reps / 2].legacy_weight,
-                point.runs[reps / 2].cdcl_weight);
+    std::vector<double> seconds;
+    for (const MaxSatRep& r : point.runs) seconds.push_back(r.seconds);
+    const MaxSatRep& mid = point.runs[reps / 2];
+    std::printf("%-10d %6d %8zu %11.3f  %9.0f %7s\n", ni, point.vars,
+                point.clauses, Median(seconds) * 1e3, mid.weight,
+                mid.optimal ? "yes" : "NO");
     maxsat_points.push_back(std::move(point));
   }
 
@@ -323,51 +277,6 @@ int main(int argc, char** argv) {
         mid.solves, mid.objectives_bit_equal ? "yes" : "NO");
   }
 
-  // --- Informational: legacy tableau vs revised simplex by size. ---
-  struct SizeRep {
-    double tableau_seconds = 0.0;
-    double revised_seconds = 0.0;
-  };
-  struct SizePoint {
-    std::size_t n = 0;
-    std::size_t m = 0;
-    std::vector<SizeRep> runs;
-  };
-  std::vector<SizePoint> size_points;
-  std::printf("\n%-12s %12s %12s %9s\n", "LP n=m", "tableau ms", "revised ms",
-              "speedup");
-  for (std::size_t size : {4u, 8u, 16u, 32u}) {
-    SizePoint point;
-    point.n = size;
-    point.m = size;
-    LinearProgram lp = RandomLp(size, size, DeriveSeed(args.seed, 0x51ull + size));
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-      SizeRep r;
-      Timer timer;
-      Result<LpSolution> tab = SolveLpTableau(lp);
-      r.tableau_seconds = timer.ElapsedSeconds();
-      timer.Restart();
-      Result<LpSolution> rev = SolveLp(lp);
-      r.revised_seconds = timer.ElapsedSeconds();
-      if (!tab.ok() || !rev.ok()) {
-        std::fprintf(stderr, "size-sweep LP failed: %s\n",
-                     (!tab.ok() ? tab : rev).status().ToString().c_str());
-        return 1;
-      }
-      point.runs.push_back(r);
-    }
-    std::vector<double> tab_s, rev_s;
-    for (const SizeRep& r : point.runs) {
-      tab_s.push_back(r.tableau_seconds);
-      rev_s.push_back(r.revised_seconds);
-    }
-    const double tm = Median(tab_s);
-    const double rm = Median(rev_s);
-    std::printf("%-12zu %11.4f  %11.4f  %8.1fx\n", size, tm * 1e3, rm * 1e3,
-                rm > 0.0 ? tm / rm : 0.0);
-    size_points.push_back(std::move(point));
-  }
-
   if (!json_path.empty()) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");
     if (f == nullptr) {
@@ -388,11 +297,9 @@ int main(int argc, char** argv) {
       for (std::size_t rep = 0; rep < p.runs.size(); ++rep) {
         const MaxSatRep& r = p.runs[rep];
         std::fprintf(f,
-                     "      {\"legacy_seconds\": %.9f, \"cdcl_seconds\": "
-                     "%.9f, \"legacy_weight\": %.9f, \"cdcl_weight\": %.9f, "
+                     "      {\"cdcl_seconds\": %.9f, \"cdcl_weight\": %.9f, "
                      "\"cdcl_optimal\": %s}%s\n",
-                     r.legacy_seconds, r.cdcl_seconds, r.legacy_weight,
-                     r.cdcl_weight, r.cdcl_optimal ? "true" : "false",
+                     r.seconds, r.weight, r.optimal ? "true" : "false",
                      rep + 1 < p.runs.size() ? "," : "");
       }
       std::fprintf(f, "    ]}%s\n", i + 1 < maxsat_points.size() ? "," : "");
@@ -411,22 +318,7 @@ int main(int argc, char** argv) {
                    r.objectives_bit_equal ? "true" : "false", r.phase1_skips,
                    r.solves, rep + 1 < lp_runs.size() ? "," : "");
     }
-    std::fprintf(f, "    ]\n  },\n  \"lp_sizes\": [\n");
-    for (std::size_t i = 0; i < size_points.size(); ++i) {
-      const SizePoint& p = size_points[i];
-      std::fprintf(f, "    {\"n\": %zu, \"m\": %zu, \"repetitions\": [\n",
-                   p.n, p.m);
-      for (std::size_t rep = 0; rep < p.runs.size(); ++rep) {
-        const SizeRep& r = p.runs[rep];
-        std::fprintf(f,
-                     "      {\"tableau_seconds\": %.9f, "
-                     "\"revised_seconds\": %.9f}%s\n",
-                     r.tableau_seconds, r.revised_seconds,
-                     rep + 1 < p.runs.size() ? "," : "");
-      }
-      std::fprintf(f, "    ]}%s\n", i + 1 < size_points.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
+    std::fprintf(f, "    ]\n  }\n}\n");
     std::fclose(f);
     std::fprintf(stderr, "wrote raw measurements: %s\n", json_path.c_str());
   }

@@ -229,16 +229,12 @@ Result<Dataset> Salimi::Repair(const Dataset& train, const FairContext& context)
       MaxSatOptions ms;
       // Index-addressed seed stream per A-block (see common/random.h):
       // independent of block visit order and of every other consumer of
-      // context.seed. The engines derive their own sub-streams from it.
+      // context.seed. The solver derives its own sub-stream from it.
       ms.seed = DeriveSeed(context.seed, akey);
-      ms.engine = options_.maxsat_engine;
-      ms.max_conflicts = options_.maxsat_conflict_budget;
-      // Fallback local-search budget proportional to the block's variable
-      // count: small blocks converge in a few hundred flips.
-      ms.max_flips = std::min(20000, 400 * inst.num_vars);
       FAIRBENCH_ASSIGN_OR_RETURN(MaxSatSolution sol, SolveMaxSat(inst, ms));
       if (!sol.hard_satisfied) {
-        // All-present is always feasible; use it as the safe fallback.
+        // No model within the conflict budget. All-present is always
+        // feasible; use it as the safe fallback.
         sol.assignment.assign(static_cast<std::size_t>(inst.num_vars), true);
       }
       for (std::size_t yi = 0; yi < ny; ++yi) {

@@ -1,11 +1,10 @@
 #ifndef FAIRBENCH_FAIR_PRE_SALIMI_H_
 #define FAIRBENCH_FAIR_PRE_SALIMI_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
 
 #include "fair/method.h"
-#include "optim/maxsat.h"
 
 namespace fairbench {
 
@@ -21,11 +20,6 @@ struct SalimiOptions {
   std::size_t bins = 3;              ///< Discretization granularity.
   std::size_t max_admissible = 3;    ///< Admissible attrs used in A-blocks.
   std::size_t max_inadmissible = 2;  ///< Inadmissible attrs beyond S.
-  /// Engine for the per-block repair MaxSAT (kDefault = CDCL; the legacy
-  /// WalkSAT engine is kept for A/B benchmarking, see bench/fig11_scal_size).
-  MaxSatEngine maxsat_engine = MaxSatEngine::kDefault;
-  /// CDCL conflict budget per block before the anytime fallback.
-  int64_t maxsat_conflict_budget = 2000000;
 };
 
 /// SALIMI (Salimi et al. 2019, "Interventional fairness: causal database

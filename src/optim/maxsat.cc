@@ -1,8 +1,6 @@
 #include "optim/maxsat.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cmath>
 #include <limits>
 #include <unordered_map>
 #include <utility>
@@ -14,8 +12,6 @@
 namespace fairbench {
 namespace {
 
-std::atomic<MaxSatEngine> g_default_engine{MaxSatEngine::kCdcl};
-
 bool ClauseSatisfied(const Clause& clause, const std::vector<bool>& assign) {
   for (const Literal& lit : clause.literals) {
     const bool v = assign[static_cast<std::size_t>(lit.var)];
@@ -24,147 +20,20 @@ bool ClauseSatisfied(const Clause& clause, const std::vector<bool>& assign) {
   return false;
 }
 
-/// Objective: (hard clauses all satisfied, satisfied soft weight).
-/// Encoded as a single score with a large hard-clause penalty.
-double Score(const MaxSatInstance& inst, const std::vector<bool>& assign,
-             double hard_penalty, bool* hard_ok) {
-  double score = 0.0;
-  bool ok = true;
-  for (const Clause& c : inst.clauses) {
-    const bool sat = ClauseSatisfied(c, assign);
-    if (c.hard) {
-      if (!sat) {
-        score -= hard_penalty;
-        ok = false;
-      }
-    } else if (sat) {
-      score += c.weight;
-    }
-  }
-  if (hard_ok != nullptr) *hard_ok = ok;
-  return score;
-}
-
-/// Legacy engine: exhaustive enumeration up to exact_threshold variables,
-/// weighted WalkSAT with restarts above. Also serves as the anytime
-/// fallback when the CDCL budget runs out. Randomness comes from the
-/// kMaxSatWalkStream DeriveSeed chain so it is independent of the CDCL
-/// engine's streams.
-MaxSatSolution LocalSearchSolve(const MaxSatInstance& instance,
-                                const MaxSatOptions& options) {
-  const int n = instance.num_vars;
-  double soft_total = 0.0;
+/// Total weight of the soft clauses `assign` satisfies.
+double SatisfiedWeight(const MaxSatInstance& instance,
+                       const std::vector<bool>& assign) {
+  double weight = 0.0;
   for (const Clause& c : instance.clauses) {
-    if (!c.hard) soft_total += std::fabs(c.weight);
+    if (!c.hard && ClauseSatisfied(c, assign)) weight += c.weight;
   }
-  const double hard_penalty = soft_total + 1.0;
-
-  MaxSatSolution best;
-  best.assignment.assign(static_cast<std::size_t>(n), false);
-  double best_score = -std::numeric_limits<double>::infinity();
-
-  if (n <= options.exact_threshold && n <= 20) {
-    // Exhaustive search.
-    const uint64_t limit = 1ull << n;
-    std::vector<bool> assign(static_cast<std::size_t>(n), false);
-    for (uint64_t mask = 0; mask < limit; ++mask) {
-      for (int i = 0; i < n; ++i) {
-        assign[static_cast<std::size_t>(i)] = (mask >> i) & 1u;
-      }
-      bool hard_ok = false;
-      const double s = Score(instance, assign, hard_penalty, &hard_ok);
-      if (s > best_score) {
-        best_score = s;
-        best.assignment = assign;
-        best.hard_satisfied = hard_ok;
-      }
-    }
-    best.optimal = true;
-  } else {
-    Rng rng(DeriveSeed(options.seed, kMaxSatWalkStream));
-    // Index clauses per variable for incremental-ish evaluation. For the
-    // moderate instance sizes SALIMI produces per partition, recomputing
-    // affected clauses on flip is fast enough.
-    std::vector<std::vector<int>> clauses_of_var(static_cast<std::size_t>(n));
-    for (std::size_t ci = 0; ci < instance.clauses.size(); ++ci) {
-      for (const Literal& lit : instance.clauses[ci].literals) {
-        clauses_of_var[static_cast<std::size_t>(lit.var)].push_back(
-            static_cast<int>(ci));
-      }
-    }
-
-    // Score delta of flipping `var` under the current assignment; touches
-    // only the clauses containing `var`.
-    std::vector<bool> assign(static_cast<std::size_t>(n));
-    auto flip_delta = [&](int var) {
-      double delta = 0.0;
-      const std::size_t v = static_cast<std::size_t>(var);
-      assign[v] = !assign[v];
-      for (int ci : clauses_of_var[v]) {
-        const Clause& c = instance.clauses[static_cast<std::size_t>(ci)];
-        const double weight = c.hard ? hard_penalty : c.weight;
-        const bool after = ClauseSatisfied(c, assign);
-        assign[v] = !assign[v];
-        const bool before = ClauseSatisfied(c, assign);
-        assign[v] = !assign[v];
-        if (after && !before) delta += weight;
-        if (!after && before) delta -= weight;
-      }
-      assign[v] = !assign[v];
-      return delta;
-    };
-
-    for (int restart = 0; restart < options.restarts; ++restart) {
-      for (int i = 0; i < n; ++i) {
-        assign[static_cast<std::size_t>(i)] = rng.Bernoulli(0.5);
-      }
-      bool hard_ok = false;
-      double cur = Score(instance, assign, hard_penalty, &hard_ok);
-      if (cur > best_score) {
-        best_score = cur;
-        best.assignment = assign;
-        best.hard_satisfied = hard_ok;
-      }
-
-      const int flips = options.max_flips / std::max(options.restarts, 1);
-      for (int flip = 0; flip < flips && n > 0; ++flip) {
-        int var;
-        double delta;
-        if (rng.Bernoulli(options.noise)) {
-          var = static_cast<int>(rng.UniformInt(static_cast<uint64_t>(n)));
-          delta = flip_delta(var);
-        } else {
-          // Greedy: best score delta among a random probe sample.
-          var = static_cast<int>(rng.UniformInt(static_cast<uint64_t>(n)));
-          delta = flip_delta(var);
-          for (int probe = 1; probe < 8; ++probe) {
-            const int cand =
-                static_cast<int>(rng.UniformInt(static_cast<uint64_t>(n)));
-            const double cand_delta = flip_delta(cand);
-            if (cand_delta > delta) {
-              delta = cand_delta;
-              var = cand;
-            }
-          }
-        }
-        const std::size_t v = static_cast<std::size_t>(var);
-        assign[v] = !assign[v];
-        cur += delta;
-        if (cur > best_score) {
-          // Re-derive the hard flag only when recording a new best.
-          best_score = cur;
-          best.assignment = assign;
-          (void)Score(instance, assign, hard_penalty, &best.hard_satisfied);
-        }
-      }
-    }
-  }
-  return best;
+  return weight;
 }
 
 struct CdclOutcome {
   bool have_model = false;  ///< At least a hard-feasible model was found.
   bool proven = false;      ///< The model is a proven optimum.
+  /// The optimum when proven, else the best-weight model found so far.
   std::vector<bool> assignment;
 };
 
@@ -176,7 +45,8 @@ struct CdclOutcome {
 /// under an exactly-one constraint and charged the core's minimum weight.
 /// Weights are processed in descending strata so expensive obligations are
 /// settled first — which also makes every intermediate model a valid
-/// anytime answer if the conflict budget runs out.
+/// anytime answer if the conflict budget runs out. The budget is shared by
+/// every SAT call of the search: each call gets what the earlier ones left.
 CdclOutcome RunCdcl(const MaxSatInstance& instance,
                     const MaxSatOptions& options) {
   const int n = instance.num_vars;
@@ -184,8 +54,15 @@ CdclOutcome RunCdcl(const MaxSatInstance& instance,
 
   sat::SolverOptions sat_options;
   sat_options.seed = DeriveSeed(options.seed, kMaxSatCdclStream);
-  sat_options.max_conflicts = options.max_conflicts;
   sat::Solver solver(sat_options);
+  auto solve = [&](const std::vector<sat::Lit>& assumptions) {
+    const int64_t left =
+        options.max_conflicts < 0
+            ? -1
+            : std::max<int64_t>(
+                  0, options.max_conflicts - solver.stats().conflicts);
+    return solver.Solve(assumptions, left);
+  };
   for (int i = 0; i < n; ++i) solver.NewVar();
 
   struct Soft {
@@ -240,13 +117,20 @@ CdclOutcome RunCdcl(const MaxSatInstance& instance,
   }
 
   CdclOutcome out;
+  std::vector<bool> model;  // latest model
+  double best_weight = 0.0;
   auto record_model = [&] {
-    out.have_model = true;
-    out.assignment.assign(static_cast<std::size_t>(n), false);
+    model.assign(static_cast<std::size_t>(n), false);
     for (int i = 0; i < n; ++i) {
-      out.assignment[static_cast<std::size_t>(i)] =
+      model[static_cast<std::size_t>(i)] =
           solver.ModelValue(i) == sat::LBool::kTrue;
     }
+    const double weight = SatisfiedWeight(instance, model);
+    if (!out.have_model || weight > best_weight) {
+      out.assignment = model;
+      best_weight = weight;
+    }
+    out.have_model = true;
   };
   auto finish = [&](CdclOutcome result) {
     RecordSatTelemetry("maxsat", solver.stats());
@@ -254,7 +138,7 @@ CdclOutcome RunCdcl(const MaxSatInstance& instance,
   };
 
   // Hard-only feasibility first — establishes the anytime baseline model.
-  sat::Solver::Outcome res = solver.Solve({});
+  sat::Solver::Outcome res = solve({});
   if (res == sat::Solver::Outcome::kUnsat) return finish({});
   if (res == sat::Solver::Outcome::kUnknown) return finish(std::move(out));
   record_model();
@@ -275,7 +159,7 @@ CdclOutcome RunCdcl(const MaxSatInstance& instance,
       for (const Soft& s : softs) {
         if (s.active && s.weight > kWeightFloor) assumptions.push_back(s.assume);
       }
-      res = solver.Solve(assumptions);
+      res = solve(assumptions);
       if (res == sat::Solver::Outcome::kSat) {
         record_model();
         break;
@@ -342,20 +226,11 @@ CdclOutcome RunCdcl(const MaxSatInstance& instance,
     }
   }
   out.proven = true;
+  out.assignment = std::move(model);  // later strata refine earlier models
   return finish(std::move(out));
 }
 
 }  // namespace
-
-void SetDefaultMaxSatEngine(MaxSatEngine engine) {
-  g_default_engine.store(engine == MaxSatEngine::kDefault ? MaxSatEngine::kCdcl
-                                                          : engine,
-                         std::memory_order_relaxed);
-}
-
-MaxSatEngine DefaultMaxSatEngine() {
-  return g_default_engine.load(std::memory_order_relaxed);
-}
 
 Result<MaxSatSolution> SolveMaxSat(const MaxSatInstance& instance,
                                    const MaxSatOptions& options) {
@@ -370,58 +245,16 @@ Result<MaxSatSolution> SolveMaxSat(const MaxSatInstance& instance,
     }
   }
 
-  MaxSatEngine engine = options.engine == MaxSatEngine::kDefault
-                            ? DefaultMaxSatEngine()
-                            : options.engine;
-
-  MaxSatSolution best;
-  if (engine == MaxSatEngine::kCdcl) {
-    CdclOutcome cdcl = RunCdcl(instance, options);
-    if (cdcl.proven) {
-      best.assignment = std::move(cdcl.assignment);
-      best.optimal = true;
-    } else {
-      // Anytime path: budget exhausted or hard clauses unsatisfiable.
-      // Keep the better of the CDCL model-so-far and the legacy engine.
-      MaxSatSolution walk = LocalSearchSolve(instance, options);
-      if (cdcl.have_model) {
-        double soft_total = 0.0;
-        for (const Clause& c : instance.clauses) {
-          if (!c.hard) soft_total += std::fabs(c.weight);
-        }
-        const double hard_penalty = soft_total + 1.0;
-        const double cdcl_score =
-            Score(instance, cdcl.assignment, hard_penalty, nullptr);
-        const double walk_score =
-            Score(instance, walk.assignment, hard_penalty, nullptr);
-        if (cdcl_score >= walk_score && !walk.optimal) {
-          best.assignment = std::move(cdcl.assignment);
-        } else {
-          best.assignment = std::move(walk.assignment);
-          best.optimal = walk.optimal;
-        }
-      } else {
-        best.assignment = std::move(walk.assignment);
-        best.optimal = walk.optimal;  // enumeration is exact even here
-      }
-    }
-  } else {
-    best = LocalSearchSolve(instance, options);
-  }
-
-  // Recompute the reported satisfied weight from the best assignment.
-  best.satisfied_weight = 0.0;
-  bool hard_ok = true;
-  for (const Clause& c : instance.clauses) {
-    const bool sat = ClauseSatisfied(c, best.assignment);
-    if (c.hard) {
-      hard_ok = hard_ok && sat;
-    } else if (sat) {
-      best.satisfied_weight += c.weight;
-    }
-  }
-  best.hard_satisfied = hard_ok;
-  return best;
+  MaxSatSolution solution;
+  CdclOutcome cdcl = RunCdcl(instance, options);
+  solution.assignment = std::move(cdcl.assignment);
+  solution.assignment.resize(static_cast<std::size_t>(n), false);
+  if (!cdcl.have_model) return solution;  // hard_satisfied stays false
+  // Every model of the SAT core satisfies the hard clauses it was given.
+  solution.hard_satisfied = true;
+  solution.optimal = cdcl.proven;
+  solution.satisfied_weight = SatisfiedWeight(instance, solution.assignment);
+  return solution;
 }
 
 }  // namespace fairbench

@@ -30,66 +30,38 @@ struct MaxSatInstance {
   std::vector<Clause> clauses;
 };
 
-/// Which solver core answers a SolveMaxSat call.
-enum class MaxSatEngine {
-  /// Resolve to the process-wide default (kCdcl unless overridden via
-  /// SetDefaultMaxSatEngine — bench comparisons only).
-  kDefault = 0,
-  /// Conflict-driven core: CDCL SAT engine (optim/sat) driving exact
-  /// WPM1 stratified core-guided search, with the local-search engine as
-  /// an anytime fallback when the conflict budget runs out.
-  kCdcl,
-  /// Legacy engine: exhaustive enumeration up to `exact_threshold` vars,
-  /// weighted WalkSAT with restarts above it.
-  kLocalSearch,
-};
-
-/// Overrides what MaxSatEngine::kDefault resolves to, process-wide.
-/// Intended for benchmarks (bench/fig11_scal_size --legacy-maxsat) that
-/// need to flip the engine underneath code constructing its own
-/// MaxSatOptions. Passing kDefault restores kCdcl. Not thread-safe against
-/// concurrent solves; set it before spawning work.
-void SetDefaultMaxSatEngine(MaxSatEngine engine);
-MaxSatEngine DefaultMaxSatEngine();
-
-/// DeriveSeed stream indices hung off MaxSatOptions::seed. The CDCL core
-/// and the WalkSAT fallback draw from disjoint, individually addressable
-/// streams so switching engines (or falling back) never perturbs the other
-/// engine's randomness. Pinned by maxsat_differential_test.
+/// The CDCL core is seeded with DeriveSeed(MaxSatOptions::seed,
+/// kMaxSatCdclStream).
 inline constexpr uint64_t kMaxSatCdclStream = 0;
-inline constexpr uint64_t kMaxSatWalkStream = 1;
 
 struct MaxSatOptions {
-  int max_flips = 40000;       ///< Local-search budget (across restarts).
-  int restarts = 4;
-  double noise = 0.2;          ///< WalkSAT random-walk probability.
-  int exact_threshold = 12;    ///< Enumeration cutoff (legacy engine only).
-  uint64_t seed = 23;          ///< Base seed; engines use DeriveSeed chains.
-  MaxSatEngine engine = MaxSatEngine::kDefault;
-  /// CDCL conflict budget across the whole WPM1 search; on exhaustion the
-  /// solve falls back to the best model found so far (or local search) and
-  /// reports optimal == false. < 0 means unlimited.
+  uint64_t seed = 23;  ///< Base seed; the engine uses a DeriveSeed chain.
+  /// CDCL conflict budget across the whole WPM1 search (every SAT call
+  /// together). On exhaustion the solve returns the best model found so
+  /// far with optimal == false. < 0 means unlimited.
   int64_t max_conflicts = 2000000;
 };
 
 /// Solution to a MaxSAT instance.
 struct MaxSatSolution {
+  /// num_vars entries. With no model (see hard_satisfied) all false and
+  /// satisfied_weight 0.
   std::vector<bool> assignment;
   double satisfied_weight = 0.0;  ///< Total weight of satisfied soft clauses.
-  bool hard_satisfied = false;    ///< All hard clauses satisfied.
-  /// True when the engine proved the assignment optimal (CDCL finished its
-  /// stratified search, or the legacy engine enumerated exhaustively).
+  /// All hard clauses satisfied. False when no model was found: the hard
+  /// clauses are unsatisfiable, or the budget ran out before the first one.
+  bool hard_satisfied = false;
+  /// True when the CDCL engine finished its stratified search, proving the
+  /// assignment optimal.
   bool optimal = false;
 };
 
-/// Solves weighted partial MaxSAT. The default CDCL engine is exact: it
-/// runs WPM1 (Fu–Malik with weight stratification) over assumption
-/// literals on a conflict-driven SAT core, which is what flattens the
-/// SALIMI-MaxSAT runtime curves the paper attributes to its NP-hard
-/// minimal-repair step (Fig 11). The legacy enumeration/WalkSAT engine is
-/// kept both as an explicit opt-in (`MaxSatEngine::kLocalSearch`) and as
-/// the anytime fallback when the CDCL conflict budget is exhausted or the
-/// hard clauses are unsatisfiable.
+/// Solves weighted partial MaxSAT exactly: WPM1 (Fu–Malik with weight
+/// stratification) over assumption literals on a conflict-driven SAT core,
+/// which is what flattens the SALIMI-MaxSAT runtime curves the paper
+/// attributes to its NP-hard minimal-repair step (Fig 11). The search is
+/// anytime: if the conflict budget runs out, the best-weight model found
+/// so far is returned with optimal == false.
 Result<MaxSatSolution> SolveMaxSat(const MaxSatInstance& instance,
                                    const MaxSatOptions& options = {});
 

@@ -472,6 +472,12 @@ Solver::SearchResult Solver::Search(int64_t conflict_cap,
   std::vector<Lit> learnt;
 
   for (;;) {
+    // Checked before every propagation, so a call never spends more than
+    // its budget: each pass adds at most one conflict.
+    if (conflict_budget >= 0 && stats_.conflicts >= conflict_budget) {
+      CancelUntil(0);
+      return SearchResult::kBudget;
+    }
     CRef confl = Propagate();
     if (confl != kCRefUndef) {
       ++stats_.conflicts;
@@ -501,10 +507,6 @@ Solver::SearchResult Solver::Search(int64_t conflict_cap,
       VarDecayActivity();
       ClaDecayActivity();
     } else {
-      if (conflict_budget >= 0 && stats_.conflicts >= conflict_budget) {
-        CancelUntil(0);
-        return SearchResult::kBudget;
-      }
       if (conflicts_here >= conflict_cap) {
         ++stats_.restarts;
         CancelUntil(0);
@@ -540,15 +542,15 @@ Solver::SearchResult Solver::Search(int64_t conflict_cap,
   }
 }
 
-Solver::Outcome Solver::Solve(const std::vector<Lit>& assumptions) {
+Solver::Outcome Solver::Solve(const std::vector<Lit>& assumptions,
+                              int64_t max_conflicts) {
   model_.clear();
   conflict_core_.clear();
   if (!ok_) return Outcome::kUnsat;
   assumptions_ = assumptions;
 
-  int64_t budget = options_.max_conflicts < 0
-                       ? -1
-                       : stats_.conflicts + options_.max_conflicts;
+  const int64_t budget =
+      max_conflicts < 0 ? -1 : stats_.conflicts + max_conflicts;
   if (max_learnts_ <= 0.0) {
     max_learnts_ =
         std::max(100.0, 0.4 * static_cast<double>(problem_refs_.size()));

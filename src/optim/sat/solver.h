@@ -25,9 +25,6 @@ struct SolverOptions {
   double random_var_freq = 0.02;
   /// Fraction of decisions whose saved phase is flipped at random.
   double random_phase_freq = 0.005;
-  /// Conflict budget for one Solve() call; < 0 means unlimited. On
-  /// exhaustion Solve returns kUnknown and the solver stays usable.
-  int64_t max_conflicts = -1;
 };
 
 /// Counters for the obs `optim.sat.*` metrics and for tests; cumulative
@@ -72,10 +69,12 @@ class Solver {
   /// silently dropped. Must be called between Solve() calls, never during.
   bool AddClause(std::vector<Lit> lits);
 
-  /// Solves the current clause set under the given assumptions. kUnknown
-  /// means the per-call conflict budget was exhausted; the solver remains
-  /// usable and learnt clauses are kept.
-  Outcome Solve(const std::vector<Lit>& assumptions = {});
+  /// Solves the current clause set under the given assumptions, spending
+  /// at most `max_conflicts` conflicts (< 0 means unlimited). kUnknown
+  /// means that budget was exhausted; the solver remains usable and learnt
+  /// clauses are kept.
+  Outcome Solve(const std::vector<Lit>& assumptions = {},
+                int64_t max_conflicts = -1);
 
   /// After kSat: the value of `v` in the model.
   LBool ModelValue(Var v) const { return model_[static_cast<std::size_t>(v)]; }

@@ -19,11 +19,10 @@ namespace fairbench {
 ///               0 <= x_j <= upper[j]   (upper[j] may be +inf)
 ///
 /// FairBench uses this for HARDT's equalized-odds program (4 variables) and
-/// for small fractional-repair subproblems. The default solver is a
+/// for small fractional-repair subproblems. The solver is a
 /// bounded-variable revised simplex with an explicit, persistable basis so
 /// repeated structurally-identical solves (CV folds, stability replicates)
-/// can warm-start past phase 1; the original dense two-phase tableau is
-/// kept as `SolveLpTableau` and serves as the differential-test oracle.
+/// can warm-start past phase 1 (optim/revised_simplex.cc).
 struct LinearProgram {
   Vector c;
   Matrix a_ub;   ///< May be empty (0 rows).
@@ -122,11 +121,6 @@ Result<LpSolution> SolveLp(const LinearProgram& lp);
 /// stable regardless of caching (DESIGN.md §14).
 Result<LpSolution> SolveLp(const LinearProgram& lp, LpBasis* basis,
                            LpSolveStats* stats = nullptr);
-
-/// Legacy dense two-phase tableau simplex (the pre-revised-simplex
-/// implementation, upper bounds expanded to rows). Kept as the reference
-/// oracle for differential tests; same status contract as SolveLp.
-Result<LpSolution> SolveLpTableau(const LinearProgram& lp);
 
 }  // namespace fairbench
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "lp_tableau_oracle.h"
 #include "optim/simplex_lp.h"
 
 namespace fairbench {
@@ -52,7 +53,7 @@ TEST(LpEdgeTest, BealeCyclingInstanceTerminates) {
   ASSERT_TRUE(sol.ok()) << sol.status().ToString();
   EXPECT_NEAR(sol->objective, -0.05, 1e-9);
 
-  // And the legacy tableau oracle agrees.
+  // And the tableau oracle agrees.
   auto oracle = SolveLpTableau(lp);
   ASSERT_TRUE(oracle.ok());
   EXPECT_NEAR(sol->objective, oracle->objective, 1e-9);

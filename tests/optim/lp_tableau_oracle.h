@@ -1,14 +1,21 @@
-#include "optim/simplex_lp.h"
+#ifndef FAIRBENCH_TESTS_OPTIM_LP_TABLEAU_ORACLE_H_
+#define FAIRBENCH_TESTS_OPTIM_LP_TABLEAU_ORACLE_H_
+
+// Dense two-phase tableau simplex: an independent LP solver that
+// lp_edge_test compares SolveLp (the revised simplex) against.
 
 #include <cmath>
+#include <cstddef>
 #include <limits>
+#include <vector>
 
-// Legacy dense two-phase tableau simplex, kept verbatim as the reference
-// oracle for the revised solver's differential tests (see
-// optim/revised_simplex.cc for the default SolveLp).
+#include "common/result.h"
+#include "linalg/matrix.h"
+#include "linalg/vector_ops.h"
+#include "optim/simplex_lp.h"
 
 namespace fairbench {
-namespace {
+namespace lp_tableau_internal {
 
 constexpr double kEps = 1e-9;
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -101,9 +108,11 @@ struct Tableau {
   double objective_shift = 0.0;
 };
 
-}  // namespace
+}  // namespace lp_tableau_internal
 
-Result<LpSolution> SolveLpTableau(const LinearProgram& lp) {
+/// Solves `lp` with the tableau, expanding finite upper bounds to rows.
+/// Same status contract as SolveLp.
+inline Result<LpSolution> SolveLpTableau(const LinearProgram& lp) {
   const std::size_t n = lp.c.size();
   const std::size_t m_ub = lp.a_ub.rows();
   const std::size_t m_eq = lp.a_eq.rows();
@@ -126,7 +135,8 @@ Result<LpSolution> SolveLpTableau(const LinearProgram& lp) {
   const std::size_t n_slack = m_ub + bounded.size();
   const std::size_t n_total = n + n_slack + m;
 
-  Tableau t;
+  using lp_tableau_internal::kEps;
+  lp_tableau_internal::Tableau t;
   t.a = Matrix(m, n_total, 0.0);
   t.b = Vector(m, 0.0);
   t.c = Vector(n_total, 0.0);
@@ -224,3 +234,5 @@ Result<LpSolution> SolveLpTableau(const LinearProgram& lp) {
 }
 
 }  // namespace fairbench
+
+#endif  // FAIRBENCH_TESTS_OPTIM_LP_TABLEAU_ORACLE_H_

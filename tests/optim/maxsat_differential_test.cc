@@ -6,16 +6,11 @@
 #include <vector>
 
 #include "common/random.h"
+#include "obs/metrics.h"
 #include "optim/maxsat.h"
 
 namespace fairbench {
 namespace {
-
-// The engine seed streams must stay distinct and stable: salimi.cc hands
-// each A-block DeriveSeed(context.seed, akey) and the engines split that
-// into their own sub-streams.
-static_assert(kMaxSatCdclStream != kMaxSatWalkStream,
-              "engine seed streams must be disjoint");
 
 struct Enumerated {
   double best_score = -std::numeric_limits<double>::infinity();
@@ -24,9 +19,10 @@ struct Enumerated {
   bool hard_satisfiable = false;
 };
 
-// Exhaustive oracle mirroring the legacy scoring (hard penalty dominates
-// every soft weight). Counts how many assignments attain the optimum so
-// tests know when the optimum is unique.
+// Exhaustive oracle: a hard penalty dominates every soft weight, so when
+// the hard clauses are satisfiable best_score is the optimal soft weight.
+// Counts how many assignments attain the optimum so tests know when the
+// optimum is unique.
 Enumerated Enumerate(const MaxSatInstance& inst) {
   double soft_total = 0.0;
   for (const Clause& c : inst.clauses) {
@@ -129,88 +125,49 @@ MaxSatInstance SalimiBlock(int ni, Rng& rng) {
 TEST(MaxSatDifferentialTest, CdclMatchesEnumerationOnSmallInstances) {
   Rng rng(DeriveSeed(0xd1ffull, 1));
   int unique_checked = 0;
+  int unsat_checked = 0;
   for (int trial = 0; trial < 200; ++trial) {
     const int n = 3 + static_cast<int>(rng.UniformInt(10));  // 3..12
     MaxSatInstance inst = RandomInstance(rng, n, /*allow_negative=*/trial % 3 == 0);
 
-    MaxSatOptions legacy_opts;
-    legacy_opts.engine = MaxSatEngine::kLocalSearch;
-    legacy_opts.exact_threshold = 12;  // full enumeration for every n here
-    legacy_opts.seed = 23 + trial;
-    MaxSatOptions cdcl_opts;
-    cdcl_opts.engine = MaxSatEngine::kCdcl;
-    cdcl_opts.seed = 23 + trial;
-
-    auto legacy = SolveMaxSat(inst, legacy_opts);
-    auto cdcl = SolveMaxSat(inst, cdcl_opts);
-    ASSERT_TRUE(legacy.ok());
+    MaxSatOptions opts;
+    opts.seed = 23 + trial;
+    auto cdcl = SolveMaxSat(inst, opts);
     ASSERT_TRUE(cdcl.ok());
-
-    // Identical optima: weights are integers, so sums are exact.
-    EXPECT_DOUBLE_EQ(cdcl->satisfied_weight, legacy->satisfied_weight)
-        << "trial " << trial;
-    EXPECT_EQ(cdcl->hard_satisfied, legacy->hard_satisfied) << "trial " << trial;
-    if (cdcl->hard_satisfied) {
-      EXPECT_TRUE(cdcl->optimal) << "trial " << trial;
-    }
+    ASSERT_EQ(cdcl->assignment.size(), static_cast<std::size_t>(n));
 
     Enumerated oracle = Enumerate(inst);
-    if (oracle.optima_count == 1 && oracle.hard_satisfiable) {
-      // Unique optimum: both engines must land on the same assignment.
+    EXPECT_EQ(cdcl->hard_satisfied, oracle.hard_satisfiable) << "trial " << trial;
+    if (!oracle.hard_satisfiable) {
+      EXPECT_FALSE(cdcl->optimal) << "trial " << trial;
+      ++unsat_checked;
+      continue;
+    }
+    EXPECT_TRUE(cdcl->optimal) << "trial " << trial;
+    // Identical optima: weights are integers, so sums are exact.
+    EXPECT_DOUBLE_EQ(cdcl->satisfied_weight, oracle.best_score)
+        << "trial " << trial;
+    if (oracle.optima_count == 1) {
       EXPECT_EQ(cdcl->assignment, oracle.best_assignment) << "trial " << trial;
-      EXPECT_EQ(legacy->assignment, oracle.best_assignment) << "trial " << trial;
       ++unique_checked;
     }
   }
-  EXPECT_GT(unique_checked, 20);  // the uniqueness branch must actually run
-}
-
-TEST(MaxSatDifferentialTest, CdclAtLeastMatchesWalkSatOnLargerInstances) {
-  Rng rng(DeriveSeed(0xd1ffull, 2));
-  for (int trial = 0; trial < 10; ++trial) {
-    MaxSatInstance inst = RandomInstance(rng, 40, /*allow_negative=*/false);
-    // Force every hard clause to hold under the all-false assignment so the
-    // hard set is satisfiable by construction (random unit hards over 40
-    // vars can otherwise collide into genuine UNSAT).
-    for (Clause& c : inst.clauses) {
-      if (c.hard) c.literals[0].negated = true;
-    }
-
-    MaxSatOptions legacy_opts;
-    legacy_opts.engine = MaxSatEngine::kLocalSearch;
-    MaxSatOptions cdcl_opts;
-    cdcl_opts.engine = MaxSatEngine::kCdcl;
-
-    auto legacy = SolveMaxSat(inst, legacy_opts);
-    auto cdcl = SolveMaxSat(inst, cdcl_opts);
-    ASSERT_TRUE(legacy.ok());
-    ASSERT_TRUE(cdcl.ok());
-    ASSERT_TRUE(cdcl->hard_satisfied);
-    EXPECT_TRUE(cdcl->optimal);
-    // The proven optimum can never lose to local search.
-    EXPECT_GE(cdcl->satisfied_weight, legacy->satisfied_weight - 1e-9);
-  }
+  // Both branches must actually run.
+  EXPECT_GT(unique_checked, 20);
+  EXPECT_GT(unsat_checked, 0);
 }
 
 TEST(MaxSatDifferentialTest, SalimiBlocksSolvedExactly) {
   Rng rng(DeriveSeed(0xd1ffull, 3));
   for (int ni : {4, 8, 12}) {
     MaxSatInstance inst = SalimiBlock(ni, rng);
-    MaxSatOptions cdcl_opts;
-    cdcl_opts.engine = MaxSatEngine::kCdcl;
-    auto cdcl = SolveMaxSat(inst, cdcl_opts);
+    auto cdcl = SolveMaxSat(inst);
     ASSERT_TRUE(cdcl.ok());
     EXPECT_TRUE(cdcl->hard_satisfied);
     EXPECT_TRUE(cdcl->optimal);
-
-    MaxSatOptions legacy_opts;
-    legacy_opts.engine = MaxSatEngine::kLocalSearch;
-    auto legacy = SolveMaxSat(inst, legacy_opts);
-    ASSERT_TRUE(legacy.ok());
-    EXPECT_GE(cdcl->satisfied_weight, legacy->satisfied_weight - 1e-9);
-    if (2 * ni <= 12) {
-      // Enumeration regime: optima must agree exactly.
-      EXPECT_DOUBLE_EQ(cdcl->satisfied_weight, legacy->satisfied_weight);
+    if (inst.num_vars <= 16) {
+      EXPECT_DOUBLE_EQ(cdcl->satisfied_weight, Enumerate(inst).best_score)
+          << "ni " << ni;
     }
   }
 }
@@ -219,59 +176,150 @@ TEST(MaxSatDifferentialTest, SeedChainsAreReproducibleAndIndependent) {
   Rng rng(DeriveSeed(0xd1ffull, 4));
   MaxSatInstance inst = RandomInstance(rng, 30, /*allow_negative=*/false);
 
-  // Same seed, same engine => identical output (both engines).
-  for (MaxSatEngine engine :
-       {MaxSatEngine::kCdcl, MaxSatEngine::kLocalSearch}) {
-    MaxSatOptions opts;
-    opts.engine = engine;
-    opts.seed = 77;
-    auto a = SolveMaxSat(inst, opts);
-    auto b = SolveMaxSat(inst, opts);
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(a->assignment, b->assignment);
-    EXPECT_DOUBLE_EQ(a->satisfied_weight, b->satisfied_weight);
-  }
-
-  // Stream independence: the legacy engine draws only from the
-  // kMaxSatWalkStream chain, so interleaving CDCL solves (or none) cannot
-  // perturb it — there is no shared mutable seed state.
-  MaxSatOptions walk;
-  walk.engine = MaxSatEngine::kLocalSearch;
-  walk.seed = 77;
-  auto before = SolveMaxSat(inst, walk);
-  MaxSatOptions cdcl;
-  cdcl.engine = MaxSatEngine::kCdcl;
-  cdcl.seed = 77;
-  (void)SolveMaxSat(inst, cdcl);
-  auto after = SolveMaxSat(inst, walk);
-  ASSERT_TRUE(before.ok() && after.ok());
-  EXPECT_EQ(before->assignment, after->assignment);
+  // Same seed => identical output.
+  MaxSatOptions opts;
+  opts.seed = 77;
+  auto a = SolveMaxSat(inst, opts);
+  auto b = SolveMaxSat(inst, opts);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(a->assignment, b->assignment);
+  EXPECT_DOUBLE_EQ(a->satisfied_weight, b->satisfied_weight);
 
   // Distinct DeriveSeed indices address distinct streams: per-block seeds
   // in salimi.cc are DeriveSeed(base, akey), which must not collide.
   EXPECT_NE(DeriveSeed(77, 0), DeriveSeed(77, 1));
-  EXPECT_NE(DeriveSeed(77, kMaxSatCdclStream), DeriveSeed(77, kMaxSatWalkStream));
 }
 
-TEST(MaxSatDifferentialTest, DefaultEngineOverrideRoutesToLegacy) {
-  // SetDefaultMaxSatEngine is what bench/fig11_scal_size --legacy-maxsat
-  // uses to flip engines underneath SALIMI's own MaxSatOptions.
+// Random 3-SAT hard clauses at clause/variable ratio 4, kept satisfiable
+// by a planted assignment, plus one weighted soft unit per variable. The
+// solver needs real conflicts here. SALIMI blocks are Horn (every closure
+// clause has one positive literal) and unit propagation finds their cores,
+// so they spend no conflicts and cannot tell a per-call budget from a
+// per-search one.
+MaxSatInstance PlantedInstance(int n, Rng& rng) {
   MaxSatInstance inst;
-  inst.num_vars = 30;  // above exact_threshold: engines genuinely differ
-  Rng rng(5);
-  inst = RandomInstance(rng, 30, false);
+  inst.num_vars = n;
+  std::vector<bool> planted(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) planted[static_cast<std::size_t>(i)] = rng.Bernoulli(0.5);
+  for (int i = 0; i < n; ++i) {
+    Clause soft;
+    soft.literals = {{i, rng.Bernoulli(0.5)}};
+    soft.weight = 1.0 + static_cast<double>(rng.UniformInt(9));
+    inst.clauses.push_back(std::move(soft));
+  }
+  for (int k = 0; k < 4 * n; ++k) {
+    Clause hard;
+    hard.hard = true;
+    bool planted_sat = false;
+    for (int l = 0; l < 3; ++l) {
+      const int var = static_cast<int>(rng.UniformInt(static_cast<uint64_t>(n)));
+      hard.literals.push_back({var, rng.Bernoulli(0.5)});
+      planted_sat = planted_sat ||
+                    planted[static_cast<std::size_t>(var)] != hard.literals.back().negated;
+    }
+    if (!planted_sat) hard.literals[0].negated = !hard.literals[0].negated;
+    inst.clauses.push_back(std::move(hard));
+  }
+  return inst;
+}
 
-  MaxSatOptions opts;  // engine = kDefault
-  SetDefaultMaxSatEngine(MaxSatEngine::kLocalSearch);
-  auto via_default = SolveMaxSat(inst, opts);
-  SetDefaultMaxSatEngine(MaxSatEngine::kDefault);  // restore kCdcl
-  EXPECT_EQ(DefaultMaxSatEngine(), MaxSatEngine::kCdcl);
+#if FAIRBENCH_OBS_ENABLED
+// Solves with the given conflict budget and reports the conflicts the
+// whole search spent, read from the optim.sat.conflicts counter.
+struct BudgetedSolve {
+  MaxSatSolution solution;
+  uint64_t conflicts = 0;
+};
 
-  MaxSatOptions explicit_legacy;
-  explicit_legacy.engine = MaxSatEngine::kLocalSearch;
-  auto via_explicit = SolveMaxSat(inst, explicit_legacy);
-  ASSERT_TRUE(via_default.ok() && via_explicit.ok());
-  EXPECT_EQ(via_default->assignment, via_explicit->assignment);
+BudgetedSolve SolveWithBudget(const MaxSatInstance& inst, int64_t budget) {
+  obs::Counter& counter =
+      obs::MetricsRegistry::Global().GetCounter("optim.sat.conflicts");
+  obs::SetMetricsEnabled(true);
+  const uint64_t before = counter.value();
+  MaxSatOptions opts;
+  opts.max_conflicts = budget;
+  Result<MaxSatSolution> sol = SolveMaxSat(inst, opts);
+  obs::SetMetricsEnabled(false);
+  EXPECT_TRUE(sol.ok());
+  return {sol.ok() ? *sol : MaxSatSolution{}, counter.value() - before};
+}
+
+TEST(MaxSatDifferentialTest, ConflictBudgetCoversTheWholeSearch) {
+  Rng rng(DeriveSeed(0xd1ffull, 5));
+  const MaxSatInstance inst = PlantedInstance(30, rng);
+  const BudgetedSolve full = SolveWithBudget(inst, -1);
+  ASSERT_TRUE(full.solution.optimal);
+  ASSERT_GT(full.conflicts, 20u);
+
+  for (int64_t budget : {int64_t{1}, int64_t{3}, int64_t{10},
+                         static_cast<int64_t>(full.conflicts / 2),
+                         static_cast<int64_t>(full.conflicts - 1)}) {
+    const BudgetedSolve cut = SolveWithBudget(inst, budget);
+    EXPECT_LE(cut.conflicts, static_cast<uint64_t>(budget))
+        << "budget " << budget;
+    EXPECT_FALSE(cut.solution.optimal) << "budget " << budget;
+  }
+}
+#endif  // FAIRBENCH_OBS_ENABLED
+
+TEST(MaxSatDifferentialTest, BudgetCutAfterFirstModelKeepsTheBestIncumbent) {
+  Rng rng(DeriveSeed(0xd1ffull, 6));
+  const MaxSatInstance inst = PlantedInstance(30, rng);
+  auto optimum = SolveMaxSat(inst);
+  ASSERT_TRUE(optimum.ok());
+  ASSERT_TRUE(optimum->optimal);
+
+  // A larger budget replays the same search further, so the best model so
+  // far can only improve. Budgets below the first model's cost return
+  // none; every budget here lies past it and short of the proof.
+  double previous = -1.0;
+  for (int64_t budget : {10, 20, 40}) {
+    MaxSatOptions opts;
+    opts.max_conflicts = budget;
+    auto cut = SolveMaxSat(inst, opts);
+    ASSERT_TRUE(cut.ok());
+    ASSERT_TRUE(cut->hard_satisfied) << "budget " << budget;
+    EXPECT_FALSE(cut->optimal) << "budget " << budget;
+    EXPECT_LE(cut->satisfied_weight, optimum->satisfied_weight);
+    EXPECT_GE(cut->satisfied_weight, previous) << "budget " << budget;
+    previous = cut->satisfied_weight;
+    for (const Clause& c : inst.clauses) {
+      if (!c.hard) continue;
+      bool sat = false;
+      for (const Literal& l : c.literals) {
+        sat = sat || cut->assignment[static_cast<std::size_t>(l.var)] != l.negated;
+      }
+      EXPECT_TRUE(sat) << "budget " << budget;
+    }
+  }
+}
+
+TEST(MaxSatDifferentialTest, NoModelReportsHardUnsatisfied) {
+  // A budget of zero conflicts runs out before the first model.
+  Rng rng(DeriveSeed(0xd1ffull, 7));
+  const MaxSatInstance block = SalimiBlock(8, rng);
+  MaxSatOptions opts;
+  opts.max_conflicts = 0;
+  auto starved = SolveMaxSat(block, opts);
+  ASSERT_TRUE(starved.ok());
+  EXPECT_FALSE(starved->hard_satisfied);
+  EXPECT_FALSE(starved->optimal);
+  EXPECT_EQ(starved->assignment,
+            std::vector<bool>(static_cast<std::size_t>(block.num_vars), false));
+  EXPECT_DOUBLE_EQ(starved->satisfied_weight, 0.0);
+
+  // Contradictory hard clauses: x0 and !x0.
+  MaxSatInstance unsat;
+  unsat.num_vars = 2;
+  unsat.clauses.push_back({{{0, false}}, 1.0, true});
+  unsat.clauses.push_back({{{0, true}}, 1.0, true});
+  unsat.clauses.push_back({{{1, false}}, 4.0, false});
+  auto none = SolveMaxSat(unsat);
+  ASSERT_TRUE(none.ok());
+  EXPECT_FALSE(none->hard_satisfied);
+  EXPECT_FALSE(none->optimal);
+  EXPECT_EQ(none->assignment.size(), 2u);
+  EXPECT_DOUBLE_EQ(none->satisfied_weight, 0.0);
 }
 
 }  // namespace

@@ -63,8 +63,8 @@ TEST(MaxSatTest, ExactSolverFindsOptimum) {
 }
 
 TEST(MaxSatTest, LocalSearchSatisfiesCrossProductConstraints) {
-  // A SALIMI-style block with 2 labels x 8 i-configs (16 vars > exact
-  // threshold): the hard closure clauses must still be satisfied.
+  // A SALIMI-style block with 2 labels x 8 i-configs: the hard closure
+  // clauses must be satisfied by a proven optimum.
   MaxSatInstance inst;
   const int ny = 2;
   const int ni = 8;
@@ -93,11 +93,10 @@ TEST(MaxSatTest, LocalSearchSatisfiesCrossProductConstraints) {
       }
     }
   }
-  MaxSatOptions options;
-  options.exact_threshold = 4;  // Force the local-search path.
-  Result<MaxSatSolution> sol = SolveMaxSat(inst, options);
+  Result<MaxSatSolution> sol = SolveMaxSat(inst);
   ASSERT_TRUE(sol.ok());
   EXPECT_TRUE(sol->hard_satisfied);
+  EXPECT_TRUE(sol->optimal);
 }
 
 TEST(MaxSatTest, EmptyInstanceIsTriviallyOptimal) {

@@ -189,9 +189,7 @@ TEST(SatSolverTest, ConflictBudgetReturnsUnknownAndStaysUsable) {
   // then succeed when re-solved (budget is per call).
   Rng rng(41);
   const int n = 60;
-  SolverOptions opts;
-  opts.max_conflicts = 1;
-  Solver s(opts);
+  Solver s;
   for (int i = 0; i < n; ++i) s.NewVar();
   for (int ci = 0; ci < static_cast<int>(4.0 * n); ++ci) {
     std::vector<Lit> c;
@@ -200,12 +198,15 @@ TEST(SatSolverTest, ConflictBudgetReturnsUnknownAndStaysUsable) {
     }
     ASSERT_TRUE(s.AddClause(c));
   }
-  Solver::Outcome first = s.Solve();
+  Solver::Outcome first = s.Solve({}, /*max_conflicts=*/1);
   // With 1 conflict of budget the solver almost surely can't finish; if it
   // did, the instance was easy and that's fine too.
   if (first == Solver::Outcome::kUnknown) {
+    EXPECT_EQ(s.stats().conflicts, 1);
     for (int round = 0; round < 10000; ++round) {
-      Solver::Outcome again = s.Solve();
+      const int64_t before = s.stats().conflicts;
+      Solver::Outcome again = s.Solve({}, /*max_conflicts=*/1);
+      EXPECT_LE(s.stats().conflicts - before, 1) << "round " << round;
       if (again != Solver::Outcome::kUnknown) return;  // finished
     }
     FAIL() << "solver made no progress across repeated budgeted calls";

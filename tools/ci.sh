@@ -51,9 +51,10 @@
 #          suites, and the warm-started revised simplex suites (including
 #          the shared-LpBasisCache concurrency test) re-run under TSan,
 #          and the committed BENCH_solvers.json must pass record_bench.py
-#          --check-solvers — CDCL >= 5x over WalkSAT on the largest
-#          SALIMI block, warm HARDT LP >= 2x over cold with bit-equal
-#          objectives, never measured from a debug build.
+#          --check-solvers — CDCL proves the optimum on every SALIMI
+#          block, warm HARDT LP >= 2x over cold with bit-equal
+#          objectives, >= 3 repetitions, never measured from a debug
+#          build.
 #
 # Usage: tools/ci.sh [jobs]   (default: nproc)
 set -euo pipefail
