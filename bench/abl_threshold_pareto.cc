@@ -34,20 +34,13 @@ int Run(int argc, char** argv) {
   const FairContext context = MakeContext(config, args.seed);
   if (!lr.ok() || !lr->Fit(parts->first, context).ok()) return 1;
 
-  std::vector<double> proba;
-  std::vector<int> y;
-  std::vector<int> s;
-  for (std::size_t r = 0; r < parts->second.num_rows(); ++r) {
-    Result<double> p =
-        lr->PredictProbaRow(parts->second, r, parts->second.sensitive()[r]);
-    if (!p.ok()) return 1;
-    proba.push_back(p.value());
-    y.push_back(parts->second.labels()[r]);
-    s.push_back(parts->second.sensitive()[r]);
-  }
+  Result<std::vector<double>> proba = lr->PredictProba(parts->second);
+  if (!proba.ok()) return 1;
+  const std::vector<int>& y = parts->second.labels();
+  const std::vector<int>& s = parts->second.sensitive();
 
   Result<std::vector<OperatingPoint>> sweep =
-      ThresholdSweep(proba, y, s, 39);
+      ThresholdSweep(proba.value(), y, s, 39);
   if (!sweep.ok()) return 1;
   const std::vector<OperatingPoint> frontier = ParetoFrontier(sweep.value());
 

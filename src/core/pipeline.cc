@@ -21,6 +21,7 @@ void Pipeline::SetBaseClassifier(std::unique_ptr<Classifier> classifier) {
 }
 
 Status Pipeline::Fit(const Dataset& train, const FairContext& context) {
+  fitted_ = false;
   timing_ = Timing();
   Timer timer;
 
@@ -48,36 +49,19 @@ Status Pipeline::Fit(const Dataset& train, const FairContext& context) {
   timing_.train_seconds = timer.ElapsedSeconds();
 
   // Stage 3: post-processing calibration on the training predictions.
+  // `effective` is already repaired, so it is its own transformed view —
+  // the prediction-time feature transform must not be applied twice.
   if (post_ != nullptr) {
     timer.Restart();
-    fitted_ = true;  // Allow the probability queries below.
-    // `effective` is already repaired, so query the model directly — the
-    // prediction-time feature transform must not be applied twice.
     std::vector<double> proba;
     proba.reserve(effective->num_rows());
     for (std::size_t r = 0; r < effective->num_rows(); ++r) {
-      Result<double> p =
-          in_ != nullptr
-              ? in_->PredictProbaRow(*effective, r, effective->sensitive()[r])
-              : [&]() -> Result<double> {
-                  FAIRBENCH_ASSIGN_OR_RETURN(
-                      Vector features,
-                      encoder_.TransformRow(*effective, r,
-                                            effective->sensitive()[r]));
-                  return model_->PredictProba(features);
-                }();
-      if (!p.ok()) {
-        fitted_ = false;
-        return p.status();
-      }
-      proba.push_back(p.value());
+      FAIRBENCH_ASSIGN_OR_RETURN(
+          double p, ProbaFromView(*effective, r, effective->sensitive()[r]));
+      proba.push_back(p);
     }
-    Status st = post_->Fit(proba, effective->labels(), effective->sensitive(),
-                           context);
-    if (!st.ok()) {
-      fitted_ = false;
-      return st;
-    }
+    FAIRBENCH_RETURN_NOT_OK(post_->Fit(proba, effective->labels(),
+                                       effective->sensitive(), context));
     timing_.post_seconds = timer.ElapsedSeconds();
   }
 
@@ -85,72 +69,79 @@ Status Pipeline::Fit(const Dataset& train, const FairContext& context) {
   return Status::OK();
 }
 
-Result<const Dataset*> Pipeline::TransformedView(const Dataset& data,
-                                                 std::size_t row,
-                                                 int s_override) const {
-  const bool flipped = s_override != data.sensitive()[row];
-  for (const TransformCache& entry : transform_cache_) {
-    if (entry.source == &data && entry.flipped == flipped) {
-      return &entry.transformed;
-    }
-  }
-  TransformCache entry;
-  entry.source = &data;
-  entry.flipped = flipped;
-  if (flipped) {
-    // The repair map is group-conditional, so a do(S) intervention must
-    // route the tuple through the other group's map.
-    Dataset flipped_data = data;
-    for (int& s : flipped_data.mutable_sensitive()) s = 1 - s;
-    FAIRBENCH_ASSIGN_OR_RETURN(entry.transformed,
-                               pre_->TransformFeatures(flipped_data));
-  } else {
-    FAIRBENCH_ASSIGN_OR_RETURN(entry.transformed,
-                               pre_->TransformFeatures(data));
-  }
-  // Keep the cache bounded: a pipeline is typically probed with at most
-  // one dataset in both polarities.
-  if (transform_cache_.size() >= 4) transform_cache_.erase(transform_cache_.begin());
-  transform_cache_.push_back(std::move(entry));
-  return &transform_cache_.back().transformed;
+Result<Dataset> Pipeline::Transform(const Dataset& data, bool flip_s) const {
+  if (!flip_s) return pre_->TransformFeatures(data);
+  Dataset flipped = data;
+  for (int& s : flipped.mutable_sensitive()) s = 1 - s;
+  return pre_->TransformFeatures(flipped);
 }
 
-Result<double> Pipeline::PredictProbaRow(const Dataset& data, std::size_t row,
-                                         int s_override) const {
-  if (!fitted_) return Status::FailedPrecondition("Pipeline: not fitted");
-  if (in_ != nullptr) return in_->PredictProbaRow(data, row, s_override);
-  const Dataset* view = &data;
-  if (pre_ != nullptr && pre_->TransformsFeatures()) {
-    FAIRBENCH_ASSIGN_OR_RETURN(view, TransformedView(data, row, s_override));
-  }
+Result<double> Pipeline::ProbaFromView(const Dataset& view, std::size_t row,
+                                       int s) const {
+  if (in_ != nullptr) return in_->PredictProbaRow(view, row, s);
   FAIRBENCH_ASSIGN_OR_RETURN(Vector features,
-                             encoder_.TransformRow(*view, row, s_override));
+                             encoder_.TransformRow(view, row, s));
   return model_->PredictProba(features);
 }
 
-Result<int> Pipeline::PredictRow(const Dataset& data, std::size_t row,
-                                 int s_override) const {
-  FAIRBENCH_ASSIGN_OR_RETURN(double p, PredictProbaRow(data, row, s_override));
-  if (post_ != nullptr) {
-    return post_->Adjust(p, s_override, static_cast<uint64_t>(row));
-  }
+Result<int> Pipeline::Label(double p, int s, std::size_t row) const {
+  if (post_ != nullptr) return post_->Adjust(p, s, static_cast<uint64_t>(row));
   return p >= 0.5 ? 1 : 0;
 }
 
-Result<std::vector<int>> Pipeline::Predict(const Dataset& data) const {
-  std::vector<int> out;
-  out.reserve(data.num_rows());
+Result<std::vector<double>> Pipeline::PredictProba(const Dataset& data) const {
+  if (!fitted_) return Status::FailedPrecondition("Pipeline: not fitted");
+  Dataset transformed;
+  const Dataset* view = &data;
+  if (TransformsFeatures()) {
+    FAIRBENCH_ASSIGN_OR_RETURN(transformed, Transform(data, false));
+    view = &transformed;
+  }
+  std::vector<double> proba;
+  proba.reserve(data.num_rows());
   for (std::size_t r = 0; r < data.num_rows(); ++r) {
-    FAIRBENCH_ASSIGN_OR_RETURN(int y,
-                               PredictRow(data, r, data.sensitive()[r]));
+    FAIRBENCH_ASSIGN_OR_RETURN(double p,
+                               ProbaFromView(*view, r, data.sensitive()[r]));
+    proba.push_back(p);
+  }
+  return proba;
+}
+
+Result<std::vector<int>> Pipeline::Predict(const Dataset& data) const {
+  FAIRBENCH_ASSIGN_OR_RETURN(std::vector<double> proba, PredictProba(data));
+  std::vector<int> out;
+  out.reserve(proba.size());
+  for (std::size_t r = 0; r < proba.size(); ++r) {
+    FAIRBENCH_ASSIGN_OR_RETURN(int y, Label(proba[r], data.sensitive()[r], r));
     out.push_back(y);
   }
   return out;
 }
 
 RowPredictor Pipeline::MakeRowPredictor(const Dataset& data) const {
-  return [this, &data](std::size_t row, int s_override) {
-    return PredictRow(data, row, s_override);
+  if (!fitted_) {
+    return [](std::size_t, int) -> Result<int> {
+      return Status::FailedPrecondition("Pipeline: not fitted");
+    };
+  }
+  if (!TransformsFeatures()) {
+    return [this, &data](std::size_t row, int s) -> Result<int> {
+      FAIRBENCH_ASSIGN_OR_RETURN(double p, ProbaFromView(data, row, s));
+      return Label(p, s, row);
+    };
+  }
+  struct Views {
+    Result<Dataset> own;
+    Result<Dataset> flipped;
+  };
+  auto views = std::make_shared<const Views>(
+      Views{Transform(data, false), Transform(data, true)});
+  return [this, &data, views](std::size_t row, int s) -> Result<int> {
+    const Result<Dataset>& view =
+        s == data.sensitive()[row] ? views->own : views->flipped;
+    FAIRBENCH_RETURN_NOT_OK(view.status());
+    FAIRBENCH_ASSIGN_OR_RETURN(double p, ProbaFromView(view.value(), row, s));
+    return Label(p, s, row);
   };
 }
 
@@ -224,7 +215,6 @@ Status Pipeline::LoadState(ArtifactReader* reader) {
         "differs");
   }
   if (post_ != nullptr) FAIRBENCH_RETURN_NOT_OK(post_->LoadState(reader));
-  transform_cache_.clear();
   timing_ = Timing();
   fitted_ = true;
   return Status::OK();

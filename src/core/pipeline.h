@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "classifiers/logistic_regression.h"
 #include "data/encoder.h"
@@ -22,9 +23,11 @@ class ArtifactReader;
 /// where the model is either an InProcessor (which handles encoding and S
 /// itself) or the default logistic regression over encoded features —
 /// exactly how the paper pairs pre-/post-processing approaches with LR
-/// (§4.1). The pipeline exposes per-row prediction with do(S) overrides so
+/// (§4.1). Prediction is stateless: every answer depends only on the fitted
+/// stages and the rows passed in. MakeRowPredictor adds do(S) overrides so
 /// the Causal Discrimination metric probes everything, including
-/// S-dependent post-processing.
+/// S-dependent post-processing. A fitted pipeline is safe to query from
+/// many threads.
 class Pipeline {
  public:
   /// Wall-clock breakdown of Fit(), matching the paper's runtime
@@ -54,29 +57,18 @@ class Pipeline {
   /// Hard predictions for every row of `data`.
   Result<std::vector<int>> Predict(const Dataset& data) const;
 
-  /// Prediction for one row with the sensitive attribute overridden.
-  Result<int> PredictRow(const Dataset& data, std::size_t row,
-                         int s_override) const;
+  /// P(Y=1) for every row of `data`: the model probability before any
+  /// post-processing adjustment.
+  Result<std::vector<double>> PredictProba(const Dataset& data) const;
 
-  /// P(Y=1) for one row with the sensitive attribute overridden (the
-  /// pre-post-processing model probability).
-  Result<double> PredictProbaRow(const Dataset& data, std::size_t row,
-                                 int s_override) const;
-
-  /// Binds `data` into a RowPredictor for the CD metric.
+  /// Binds `data` into a RowPredictor for the CD metric. A feature-
+  /// transforming pre-processor (Feld) maps `data` and its S-flipped twin
+  /// here, once, and the predictor owns both, so it may be called from
+  /// any number of threads. It borrows `data` and this pipeline.
   RowPredictor MakeRowPredictor(const Dataset& data) const;
 
   /// Human-readable composition, e.g. "KamCal-DP + LR".
   std::string Describe() const;
-
-  /// True when prediction routes data through a fitted feature transform
-  /// (Feld-style pre-processing). Such pipelines memoize transformed
-  /// datasets in a non-thread-safe cache, so concurrent per-row prediction
-  /// on one instance must be externally serialized; all other pipelines
-  /// are safe to query concurrently once fitted.
-  bool NeedsPredictTimeTransform() const {
-    return pre_ != nullptr && pre_->TransformsFeatures();
-  }
 
   /// Serializes every fitted stage (serve artifacts). The pipeline
   /// *structure* is not stored — artifacts are reloaded into a pipeline
@@ -98,25 +90,29 @@ class Pipeline {
            std::unique_ptr<PostProcessor> post,
            bool include_sensitive_feature);
 
-  /// Feature-transforming pre-processors (Feld) must also map prediction
-  /// data through their fitted repair. The transformed copies are cached
-  /// per source dataset — including the flipped-S variant the CD metric
-  /// probes — so per-row prediction stays O(1) amortized.
-  Result<const Dataset*> TransformedView(const Dataset& data,
-                                         std::size_t row,
-                                         int s_override) const;
+  /// `data` mapped through the fitted feature transform of a Feld-style
+  /// pre-processor, with every S flipped first when `flip_s` is set (the
+  /// repair map is group-conditional, so do(S) must route a tuple through
+  /// the other group's map). Only called when TransformsFeatures().
+  Result<Dataset> Transform(const Dataset& data, bool flip_s) const;
+
+  bool TransformsFeatures() const {
+    return pre_ != nullptr && pre_->TransformsFeatures();
+  }
+
+  /// P(Y=1) for `row` of `view` with S forced to `s`. `view` is already
+  /// mapped through any feature transform; every prediction path, Fit's
+  /// post-stage calibration included, goes through here.
+  Result<double> ProbaFromView(const Dataset& view, std::size_t row,
+                               int s) const;
+
+  /// The post-processed label of a row whose model probability is `p`.
+  Result<int> Label(double p, int s, std::size_t row) const;
 
   std::unique_ptr<PreProcessor> pre_;
   std::unique_ptr<InProcessor> in_;
   std::unique_ptr<PostProcessor> post_;
   bool include_sensitive_feature_;
-
-  struct TransformCache {
-    const Dataset* source = nullptr;
-    bool flipped = false;
-    Dataset transformed;
-  };
-  mutable std::vector<TransformCache> transform_cache_;
 
   // Default-model path (used when in_ is null).
   FeatureEncoder encoder_;

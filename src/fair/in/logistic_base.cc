@@ -31,15 +31,23 @@ Status EncodedLogisticInProcessor::LoadState(ArtifactReader* reader) {
   return model_.LoadState(reader);
 }
 
+Status EncodedLogisticInProcessor::FitEncoder(const Dataset& train,
+                                              bool include_sensitive) {
+  if (train.num_rows() == 0) {
+    return Status::InvalidArgument(name() + ": empty training set");
+  }
+  return encoder_.Fit(train, include_sensitive);
+}
+
 Result<Matrix> EncodedLogisticInProcessor::EncodeTrain(const Dataset& train,
                                                        bool include_sensitive) {
-  FAIRBENCH_RETURN_NOT_OK(encoder_.Fit(train, include_sensitive));
+  FAIRBENCH_RETURN_NOT_OK(FitEncoder(train, include_sensitive));
   return encoder_.Transform(train);
 }
 
 Result<SparseMatrix> EncodedLogisticInProcessor::EncodeTrainSparse(
     const Dataset& train, bool include_sensitive) {
-  FAIRBENCH_RETURN_NOT_OK(encoder_.Fit(train, include_sensitive));
+  FAIRBENCH_RETURN_NOT_OK(FitEncoder(train, include_sensitive));
   return encoder_.TransformSparse(train);
 }
 

@@ -24,7 +24,9 @@ class EncodedLogisticInProcessor : public InProcessor {
   Status LoadState(ArtifactReader* reader) override;
 
  protected:
-  /// Fits the encoder on `train` and returns the design matrix.
+  /// Fits the encoder on `train` and returns the design matrix. Every
+  /// approach trains through this or EncodeTrainSparse, so both refuse an
+  /// empty training set with InvalidArgument.
   Result<Matrix> EncodeTrain(const Dataset& train, bool include_sensitive);
 
   /// Fits the encoder on `train` and returns the design directly as
@@ -39,6 +41,11 @@ class EncodedLogisticInProcessor : public InProcessor {
 
   FeatureEncoder encoder_;
   LogisticRegression model_;
+
+ private:
+  /// Shared front of EncodeTrain/EncodeTrainSparse: rejects zero rows,
+  /// then fits encoder_.
+  Status FitEncoder(const Dataset& train, bool include_sensitive);
 };
 
 /// Adds the weighted logistic log-loss of theta = [intercept, w...] over

@@ -39,17 +39,6 @@ Result<double> CausalDiscrimination(const Dataset& dataset,
   // size would be dominated by handoff overhead.
   parallel.min_chunk = 16;
 
-  if (ResolveThreads(options.threads) > 1) {
-    // Warm the pipeline's do(S) transform caches from a single thread:
-    // feature-transforming pre-processors lazily materialize one repaired
-    // dataset per S-polarity on first probe, and that mutation is the one
-    // piece of shared state behind the predictor. After both polarities
-    // exist, concurrent probes are read-only.
-    const int s0 = dataset.sensitive()[rows.front()];
-    FAIRBENCH_RETURN_NOT_OK(predictor(rows.front(), s0).status());
-    FAIRBENCH_RETURN_NOT_OK(predictor(rows.front(), 1 - s0).status());
-  }
-
   // One index-addressed slot per sampled row: the flip count is a sum of
   // per-slot indicators, so the chunk schedule cannot change the result.
   std::vector<uint8_t> flipped(rows.size(), 0);

@@ -12,7 +12,9 @@ namespace fairbench {
 
 /// Prediction oracle for one dataset row with the sensitive attribute
 /// forced to `s_override`. Pipelines bind this so CD exercises the *whole*
-/// model, including post-processing that reads S.
+/// model, including post-processing that reads S. CD may call it from
+/// several threads at once, so it must not mutate shared state;
+/// Pipeline::MakeRowPredictor does all its preparation up front.
 using RowPredictor =
     std::function<Result<int>(std::size_t row, int s_override)>;
 

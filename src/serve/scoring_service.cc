@@ -180,7 +180,7 @@ Result<ScoreResponse> ScoringService::ScoreWithContext(
 
   ScoreResponse response;
   response.context = ctx;
-  CachedModel model;
+  std::shared_ptr<const Pipeline> model;
   {
     FAIRBENCH_TRACE_SPAN_REQ("serve",
                              options_.run.SpanName("serve.lookup") + "/" +
@@ -203,31 +203,28 @@ Result<ScoreResponse> ScoringService::ScoreWithContext(
   if (want_flipped) flipped.assign(n, 0);
 
   // `out` receives the row's prediction; `flip` overrides S with 1-S (the
-  // streaming Causal Discrimination probe for the observer).
+  // streaming Causal Discrimination probe for the observer). Rows fan out
+  // over the pool unless this request already runs on a pool worker; such
+  // a request must not read pool_, which ~ScoringService resets while
+  // queued work drains.
+  const RowPredictor predict = model->MakeRowPredictor(data);
   auto score_into = [&](std::vector<int>& out, bool flip) {
-    auto score_row = [&, flip](std::size_t row) -> Status {
-      if ((row & 63u) == 0u) {
-        FAIRBENCH_RETURN_NOT_OK(CheckDeadline(deadline, admitted, "scoring"));
-      }
-      const int s = data.sensitive()[row];
-      FAIRBENCH_ASSIGN_OR_RETURN(
-          out[row], model.pipeline->PredictRow(data, row, flip ? 1 - s : s));
-      return Status::OK();
-    };
-    if (model.pipeline->NeedsPredictTimeTransform() || !allow_parallel) {
-      // Serial path: either the pipeline's predict-time transform cache is
-      // not safe for concurrent rows, or we are already on a pool worker.
-      std::unique_lock<std::mutex> lock(*model.score_mu, std::defer_lock);
-      if (model.pipeline->NeedsPredictTimeTransform()) lock.lock();
-      for (std::size_t row = 0; row < n; ++row) {
-        FAIRBENCH_RETURN_NOT_OK(score_row(row));
-      }
-      return Status::OK();
-    }
     ParallelOptions popts;
-    popts.pool = pool_.get();
+    popts.pool = allow_parallel ? pool_.get() : nullptr;
+    popts.threads = allow_parallel ? 0 : 1;
     popts.min_chunk = 64;
-    return ParallelFor(n, score_row, popts);
+    return ParallelFor(
+        n,
+        [&, flip](std::size_t row) -> Status {
+          if ((row & 63u) == 0u) {
+            FAIRBENCH_RETURN_NOT_OK(
+                CheckDeadline(deadline, admitted, "scoring"));
+          }
+          const int s = data.sensitive()[row];
+          FAIRBENCH_ASSIGN_OR_RETURN(out[row], predict(row, flip ? 1 - s : s));
+          return Status::OK();
+        },
+        popts);
   };
   {
     FAIRBENCH_TRACE_SPAN_REQ("serve",
@@ -263,7 +260,7 @@ Result<ScoreResponse> ScoringService::ScoreWithContext(
   return response;
 }
 
-Result<ScoringService::CachedModel> ScoringService::GetOrFit(
+Result<std::shared_ptr<const Pipeline>> ScoringService::GetOrFit(
     const ScoreRequest& request, uint64_t seed, double deadline,
     const obs::RequestContext& ctx, const Timer& admitted, bool* hit,
     double* fit_seconds, const char** cache_outcome) {
@@ -275,7 +272,7 @@ Result<ScoringService::CachedModel> ScoringService::GetOrFit(
   // shared_ptr copies — once we own references, swaps and evictions can
   // proceed and reclamation waits for us automatically.
   {
-    CachedModel model;
+    std::shared_ptr<const Pipeline> model;
     {
       EpochGuard guard(epochs_);
       const LiveTable* table = live_.load(std::memory_order_seq_cst);
@@ -283,11 +280,10 @@ Result<ScoringService::CachedModel> ScoringService::GetOrFit(
       if (it != table->end()) {
         const std::shared_ptr<LiveEntry>& entry = it->second;
         entry->last_used.store(NextTick(), std::memory_order_relaxed);
-        model.pipeline = entry->pipeline;
-        model.score_mu = entry->score_mu;
+        model = entry->pipeline;
       }
     }
-    if (model.pipeline != nullptr) {
+    if (model != nullptr) {
       hits_.fetch_add(1, std::memory_order_relaxed);
       FAIRBENCH_COUNTER_ADD("serve.cache.hit", 1);
       *hit = true;
@@ -343,7 +339,7 @@ Result<ScoringService::CachedModel> ScoringService::GetOrFit(
       *cache_outcome = waited ? "shared" : "hit";
       FAIRBENCH_RETURN_NOT_OK(slot->status);
       slot->entry->last_used.store(NextTick(), std::memory_order_relaxed);
-      return CachedModel{slot->entry->pipeline, slot->entry->score_mu};
+      return slot->entry->pipeline;
     }
   }
 
@@ -400,7 +396,7 @@ Result<ScoringService::CachedModel> ScoringService::GetOrFit(
   FAIRBENCH_RETURN_NOT_OK(status);
   *hit = false;
   *fit_seconds = elapsed;
-  return CachedModel{entry->pipeline, entry->score_mu};
+  return entry->pipeline;
 }
 
 Result<std::shared_ptr<const Pipeline>> ScoringService::BuildSwapPipeline(

@@ -139,13 +139,11 @@ class ScoringService : public Client {
  private:
   /// One live cached model. Immutable after publication except for the
   /// recency stamp; replacement (refit, swap) installs a *new* entry, so
-  /// a reader's shared_ptr always sees a frozen (pipeline, score_mu)
-  /// pair.
+  /// a reader's shared_ptr always sees a frozen pipeline. A fitted
+  /// pipeline predicts statelessly, so any number of requests score it
+  /// at once without a lock.
   struct LiveEntry {
     std::shared_ptr<const Pipeline> pipeline;
-    /// Serializes scoring for pipelines with a predict-time feature
-    /// transform, whose per-dataset transform cache is not thread-safe.
-    std::shared_ptr<std::mutex> score_mu = std::make_shared<std::mutex>();
     /// Last-touch stamp from tick_; eviction removes the smallest.
     std::atomic<uint64_t> last_used{0};
   };
@@ -161,11 +159,6 @@ class ScoringService : public Client {
     Status status = Status::OK();
     std::shared_ptr<LiveEntry> entry;
     double fit_seconds = 0.0;
-  };
-
-  struct CachedModel {
-    std::shared_ptr<const Pipeline> pipeline;
-    std::shared_ptr<std::mutex> score_mu;
   };
 
   /// Stamps the trace context, runs ScoreWithContext, then records the
@@ -187,7 +180,7 @@ class ScoringService : public Client {
   /// `*cache_outcome` is "hit", "miss", or "shared" (waited behind another
   /// thread's fit of the same key). `deadline` is the resolved per-request
   /// deadline (0 = none).
-  Result<CachedModel> GetOrFit(const ScoreRequest& request, uint64_t seed,
+  Result<std::shared_ptr<const Pipeline>> GetOrFit(const ScoreRequest& request, uint64_t seed,
                                double deadline,
                                const obs::RequestContext& ctx,
                                const Timer& admitted, bool* hit,

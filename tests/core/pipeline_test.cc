@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/experiment.h"
 #include "data/generators/population.h"
 #include "data/split.h"
 #include "fair/post/kamkar.h"
@@ -26,6 +27,23 @@ TEST(PipelineTest, BaselineLrFitsAndPredicts) {
   EXPECT_GT(correct / static_cast<double>(pred->size()), 0.6);
 }
 
+TEST(PipelineTest, FailedRefitLeavesThePipelineUnfitted) {
+  // A refit that fails must not leave the previous fit's model reachable
+  // (e.g. behind an encoder re-fitted on the new data).
+  const Dataset data = GenerateAdult(600, 1).value();
+  const Dataset no_rows = data.SelectRows({}).value();
+  const FairContext ctx = MakeContext(AdultConfig(), 1);
+  for (const std::string& id : AllApproachIds()) {
+    Pipeline pipeline = MakePipeline(id).value();
+    ASSERT_TRUE(pipeline.Fit(data, ctx).ok()) << id;
+    EXPECT_FALSE(pipeline.Fit(no_rows, ctx).ok()) << id;
+    EXPECT_FALSE(pipeline.fitted()) << id;
+    EXPECT_EQ(pipeline.Predict(data).status().code(),
+              StatusCode::kFailedPrecondition)
+        << id;
+  }
+}
+
 TEST(PipelineTest, TimingBreakdownReflectsStages) {
   const Dataset data = GenerateGerman(800, 2).value();
   FairContext ctx;
@@ -47,17 +65,17 @@ TEST(PipelineTest, TimingBreakdownReflectsStages) {
               1e-12);
 }
 
-TEST(PipelineTest, PredictRowHonorsSensitiveOverride) {
+TEST(PipelineTest, RowPredictorHonorsSensitiveOverride) {
   const Dataset data = GenerateAdult(2000, 3).value();
   Pipeline pipeline =
       PipelineBuilder().IncludeSensitiveFeature(true).Build();
   FairContext ctx;
   ASSERT_TRUE(pipeline.Fit(data, ctx).ok());
   // With S as a feature, some rows near the boundary must flip.
+  const RowPredictor predict = pipeline.MakeRowPredictor(data);
   std::size_t flips = 0;
   for (std::size_t r = 0; r < data.num_rows(); ++r) {
-    if (pipeline.PredictRow(data, r, 0).value() !=
-        pipeline.PredictRow(data, r, 1).value()) {
+    if (predict(r, 0).value() != predict(r, 1).value()) {
       ++flips;
     }
   }

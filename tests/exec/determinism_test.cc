@@ -39,19 +39,28 @@ TEST(DeterminismTest, ExperimentTableIsByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(DeterminismTest, CdInnerLoopIsThreadCountInvariant) {
+  // feld06 probes a feature-transforming pipeline and hardt an
+  // S-dependent post-processor, both from 8 threads at once with no
+  // warm-up probe (CI re-runs this under TSan).
   const Dataset data = GenerateGerman(500, 7).value();
   const FairContext ctx = MakeContext(GermanConfig(), 7);
+  const std::vector<std::string> ids = {"lr", "feld06", "hardt"};
   auto run = [&](std::size_t cd_threads) {
     ExperimentOptions options = FastOptions(1);
     options.cd.threads = cd_threads;
-    return RunExperiment(data, ctx, {"lr"}, options);
+    return RunExperiment(data, ctx, ids, options);
   };
   Result<ExperimentResult> serial = run(1);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   Result<ExperimentResult> parallel = run(8);
   ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-  EXPECT_DOUBLE_EQ(serial->approaches[0].metrics.cd,
-                   parallel->approaches[0].metrics.cd);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ASSERT_TRUE(serial->approaches[i].ok) << serial->approaches[i].error;
+    ASSERT_TRUE(parallel->approaches[i].ok) << parallel->approaches[i].error;
+    EXPECT_DOUBLE_EQ(serial->approaches[i].metrics.cd,
+                     parallel->approaches[i].metrics.cd)
+        << ids[i];
+  }
 }
 
 TEST(DeterminismTest, CrossValidationIsThreadCountInvariant) {

@@ -3,6 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
+
+#include "data/generators/population.h"
+#include "fair/in/celis.h"
+#include "fair/in/thomas.h"
+#include "fair/in/zafar.h"
+#include "fair/in/zhale.h"
 
 namespace fairbench {
 namespace {
@@ -71,6 +79,26 @@ TEST(DecisionValuesTest, ComputesAffineScores) {
   const Vector z = DecisionValues(x, theta);
   EXPECT_DOUBLE_EQ(z[0], 0.5 + 2.0 - 2.0);
   EXPECT_DOUBLE_EQ(z[1], 0.5 + 1.0);
+}
+
+TEST(EncodedLogisticInProcessorTest, EmptyDataRejected) {
+  // Every encoded-logistic approach refuses to train on zero rows, both a
+  // bare Dataset and a zero-row slice with a real schema.
+  const Dataset no_rows = GenerateAdult(50, 1).value().SelectRows({}).value();
+  const Dataset bare;
+  std::vector<std::unique_ptr<EncodedLogisticInProcessor>> approaches;
+  approaches.push_back(std::make_unique<Zafar>());
+  approaches.push_back(std::make_unique<ZhaLe>());
+  approaches.push_back(std::make_unique<Celis>());
+  approaches.push_back(std::make_unique<Thomas>());
+  FairContext ctx;
+  for (const auto& approach : approaches) {
+    for (const Dataset* empty : {&no_rows, &bare}) {
+      const Status st = approach->Fit(*empty, ctx);
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+          << approach->name() << ": " << st.ToString();
+    }
+  }
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Integration tests for the prediction-time feature-transform path: FELD
 // pipelines must push test tuples through the fitted repair, and the CD
 // metric's do(S) interventions must route tuples through the *other*
-// group's map (Pipeline::TransformedView).
+// group's map (Pipeline::MakeRowPredictor transforms the data and its
+// S-flipped twin once, when the predictor is made).
 
 #include <gtest/gtest.h>
 
@@ -40,11 +41,11 @@ TEST(FeldPipelineTest, CdInterventionsUseTheOtherGroupsMap) {
   // Flipping S changes which group quantile-map a tuple routes through;
   // with full repair both maps land on the same median distribution, so
   // predictions should flip for only a small fraction of tuples.
+  const RowPredictor predict = pipeline->MakeRowPredictor(data);
   std::size_t flips = 0;
   for (std::size_t r = 0; r < data.num_rows(); ++r) {
     const int s = data.sensitive()[r];
-    if (pipeline->PredictRow(data, r, s).value() !=
-        pipeline->PredictRow(data, r, 1 - s).value()) {
+    if (predict(r, s).value() != predict(r, 1 - s).value()) {
       ++flips;
     }
   }
@@ -53,7 +54,6 @@ TEST(FeldPipelineTest, CdInterventionsUseTheOtherGroupsMap) {
 }
 
 TEST(FeldPipelineTest, RepeatedPredictionsAreStable) {
-  // The transform cache must not change answers across repeated queries.
   const Dataset data = GenerateAdult(1000, 5).value();
   Result<Pipeline> pipeline = MakePipeline("feld06");
   ASSERT_TRUE(pipeline.ok());
@@ -62,11 +62,33 @@ TEST(FeldPipelineTest, RepeatedPredictionsAreStable) {
   for (int round = 0; round < 3; ++round) {
     EXPECT_EQ(pipeline->Predict(data).value(), first);
   }
-  // Interleave flipped queries to churn the cache, then re-check.
-  for (std::size_t r = 0; r < 50; ++r) {
-    (void)pipeline->PredictRow(data, r, 1 - data.sensitive()[r]);
+
+  // A prediction depends only on the model and the rows, never on where
+  // the rows live: eight same-size batches and then a larger one, all held
+  // in one stack-local Dataset (one address), must each score exactly as a
+  // freshly fitted pipeline scores its own copy of the batch.
+  const Dataset train = GenerateAdult(3000, 7).value();
+  const Dataset rows = GenerateAdult(8 * 128 + 256, 8).value();
+  const FairContext ctx = MakeContext(AdultConfig(), 7);
+  Pipeline scorer = MakePipeline("feld06").value();
+  Pipeline fresh = MakePipeline("feld06").value();
+  ASSERT_TRUE(scorer.Fit(train, ctx).ok());
+  ASSERT_TRUE(fresh.Fit(train, ctx).ok());
+  std::vector<Dataset> batches;
+  std::size_t begin = 0;
+  for (std::size_t size : {128, 128, 128, 128, 128, 128, 128, 128, 256}) {
+    std::vector<std::size_t> indices(size);
+    for (std::size_t i = 0; i < size; ++i) indices[i] = begin + i;
+    begin += size;
+    batches.push_back(rows.SelectRows(indices).value());
   }
-  EXPECT_EQ(pipeline->Predict(data).value(), first);
+  Dataset batch;
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    batch = batches[b];
+    Result<std::vector<int>> got = scorer.Predict(batch);
+    ASSERT_TRUE(got.ok()) << "batch " << b << ": " << got.status().ToString();
+    EXPECT_EQ(got.value(), fresh.Predict(batches[b]).value()) << "batch " << b;
+  }
 }
 
 }  // namespace

@@ -84,6 +84,41 @@ TEST(ScoringServiceTest, ColdThenWarmMatchesDirectFit) {
   EXPECT_EQ(stats.size, 1u);
 }
 
+/// A request's predictions depend only on the model and its rows, never on
+/// the address of the Dataset: eight same-size batches and then a larger
+/// one, all sent from one stack-local Dataset, must each match a freshly
+/// fitted pipeline scoring its own copy of the batch.
+TEST(ScoringServiceTest, ReusedDatasetAddressScoresEachBatchAfresh) {
+  const Dataset train = GenerateAdult(3000, 7).value();
+  const Dataset rows = GenerateAdult(8 * 128 + 256, 8).value();
+  ScoringServiceOptions options;
+  options.run.seed = 5;
+  ScoringService service(options);
+  Pipeline fresh = MakeServingPipeline("feld06").value();
+  ASSERT_TRUE(fresh.Fit(train, FairContext{{}, {}, /*seed=*/5}).ok());
+
+  std::vector<Dataset> batches;
+  std::size_t begin = 0;
+  for (std::size_t size : {128, 128, 128, 128, 128, 128, 128, 128, 256}) {
+    std::vector<std::size_t> indices(size);
+    for (std::size_t i = 0; i < size; ++i) indices[i] = begin + i;
+    begin += size;
+    batches.push_back(rows.SelectRows(indices).value());
+  }
+  Dataset batch;
+  ScoreRequest request;
+  request.approach_id = "feld06";
+  request.train = &train;
+  request.data = &batch;
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    batch = batches[b];
+    Result<ScoreResponse> got = service.Score(request);
+    ASSERT_TRUE(got.ok()) << "batch " << b << ": " << got.status().ToString();
+    EXPECT_EQ(got->predictions, fresh.Predict(batches[b]).value())
+        << "batch " << b;
+  }
+}
+
 TEST(ScoringServiceTest, SeedIsPartOfTheCacheKey) {
   const Fixture fx = MakeFixture();
   ScoringService service;
@@ -255,9 +290,9 @@ TEST(ScoringServiceTest, ScoreAsyncDeliversSameResultAsSync) {
 }
 
 /// The concurrent-cache smoke tools/ci.sh runs under TSan: many threads
-/// race on one cold key (single-flight: exactly one fit) and on a
-/// transform-caching Feld pipeline (whose scoring must be serialized by
-/// the service), all while another key is evicted and refit.
+/// race on one cold key (single-flight: exactly one fit) and score shared
+/// fitted pipelines at once, including a feature-transforming Feld
+/// pipeline, with no lock around prediction.
 TEST(ScoringServiceTest, ConcurrentCacheSmoke) {
   const Fixture fx = MakeFixture();
   ScoringServiceOptions options;

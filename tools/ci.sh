@@ -14,11 +14,13 @@
 #          randomized differential workload the plain build runs.
 # Stage 5: -DFAIRBENCH_OBS=OFF compile check: every instrumentation macro
 #          must vanish cleanly (library + benches + tools still build), and
-#          the kernel differential harness must still pass with the
-#          obs counters compiled out.
+#          the kernel differential harness and the prediction golden (all
+#          19 approaches) must still pass with the obs counters compiled
+#          out.
 # Stage 6: Serving gate: the artifact round-trip and the concurrent-cache
-#          smoke re-run under TSan (single-flight fitting and the
-#          serialized Feld scoring path are lock-ordering-sensitive), the
+#          smoke re-run under TSan (single-flight fitting, epoch-protected
+#          lookups, and many requests scoring one shared fitted pipeline
+#          at once, Feld included, with no lock around prediction), the
 #          corruption suite re-runs under ASan+UBSan (artifact stores are
 #          untrusted input), and the committed BENCH_serve.json must match
 #          the schema tools/record_bench.py emits.
@@ -107,14 +109,15 @@ ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
     -R 'kernel_differential_test|checked_ops_test|solve_edge_test|matrix_test|vector_ops_test|solve_test|gradient_descent_test|lbfgs_test|nmf_test|simplex_lp_test|maxsat_test|sat_solver_test|maxsat_differential_test|lp_edge_test|lp_warm_start_test'
 
-echo "==> Stage 5: FAIRBENCH_OBS=OFF compile check + kernel differential run"
+echo "==> Stage 5: FAIRBENCH_OBS=OFF compile check + kernel differential and prediction golden runs"
 cmake -B build-obs-off -S . -DCMAKE_BUILD_TYPE=Release \
       -DFAIRBENCH_OBS=OFF >/dev/null
 cmake --build build-obs-off -j "${JOBS}"
-# The optimized-vs-ref contract must hold with the counters compiled out
-# (the kernels' arithmetic must not depend on the obs macro expansion).
+# The optimized-vs-ref contract and every approach's predictions must
+# hold with the counters compiled out (no arithmetic may depend on the
+# obs macro expansion).
 ctest --test-dir build-obs-off --output-on-failure \
-    -R 'kernel_differential_test'
+    -R 'kernel_differential_test|prediction_golden_test'
 
 echo "==> Stage 6: Serving gate (TSan cache smoke, ASan corruption, bench schema)"
 TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-tsan \

@@ -1,12 +1,17 @@
 // Regenerates the checked-in golden fixtures under tests/golden/.
 //
-// The kernel-differential harness (tests/linalg/kernel_differential_test.cc)
-// pins RunExperiment's formatted table byte-for-byte against these fixtures
-// so that a numerical regression in the optimized linalg kernels shows up as
-// an end-to-end experiment diff, not just a micro-bench diff. The fixtures
-// were first generated from the seed (pre-optimization) kernels; regenerate
-// only when an intentional behavior change is being made, and say so in the
-// commit message.
+// experiment_german_s5.txt: the kernel-differential harness
+// (tests/linalg/kernel_differential_test.cc) pins RunExperiment's formatted
+// table byte-for-byte against this fixture so that a numerical regression
+// in the optimized linalg kernels shows up as an end-to-end experiment
+// diff, not just a micro-bench diff. The fixtures were first generated
+// from the seed (pre-optimization) kernels; regenerate only when an
+// intentional behavior change is being made, and say so in the commit
+// message.
+//
+// predictions.txt: per-approach prediction hashes on all four generators
+// (tools/prediction_golden.h), pinned by tests/core/prediction_golden_test.cc
+// so that a refactor of the prediction path cannot change a single label.
 //
 // Usage: make_golden <output-dir>   (typically tests/golden)
 
@@ -15,6 +20,7 @@
 #include <string>
 
 #include "core/experiment.h"
+#include "prediction_golden.h"
 
 namespace fairbench {
 namespace {
@@ -31,6 +37,17 @@ ExperimentOptions GoldenOptions() {
   return options;
 }
 
+bool WriteFixture(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out) {
+    std::fprintf(stderr, "cannot open %s\n", path.c_str());
+    return false;
+  }
+  out << text;
+  std::fprintf(stderr, "wrote %s\n", path.c_str());
+  return true;
+}
+
 int Run(const std::string& out_dir) {
   const Dataset data = GenerateGerman(600, 5).value();
   const FairContext ctx = MakeContext(GermanConfig(), 5);
@@ -43,15 +60,12 @@ int Run(const std::string& out_dir) {
                  result.status().ToString().c_str());
     return 1;
   }
-  const std::string path = out_dir + "/experiment_german_s5.txt";
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
-  }
-  out << FormatExperimentTable(*result);
-  std::fprintf(stderr, "wrote %s\n", path.c_str());
-  return 0;
+  const bool ok =
+      WriteFixture(out_dir + "/experiment_german_s5.txt",
+                   FormatExperimentTable(*result)) &&
+      WriteFixture(out_dir + "/predictions.txt",
+                   golden::PredictionGoldenText());
+  return ok ? 0 : 1;
 }
 
 }  // namespace
