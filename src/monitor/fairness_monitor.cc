@@ -122,8 +122,7 @@ void FairnessMonitor::Process(const ScoredEvent& event) {
 
 void FairnessMonitor::Evaluate() {
   WindowSnapshot snap = EvaluateWindow(window_, options_.ci);
-  snap.index = windows_.size();
-  ++evaluations_;
+  snap.index = evaluations_++;
   FAIRBENCH_COUNTER_ADD("monitor.windows.evaluated", 1);
 
   std::vector<Alert> fired = policy_.Observe(snap);
@@ -156,6 +155,7 @@ void FairnessMonitor::Evaluate() {
     alerts_.push_back(alert);
   }
   windows_.push_back(snap);
+  if (windows_.size() > kWindowHistory) windows_.pop_front();
 }
 
 MonitorStats FairnessMonitor::stats() const {

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <mutex>
 #include <vector>
@@ -91,7 +92,13 @@ class FairnessMonitor : public serve::ScoreObserver {
   /// returns the number of events processed into the window.
   std::size_t Drain();
 
-  const std::vector<WindowSnapshot>& windows() const { return windows_; }
+  /// Snapshots kept by windows(): the most recent ones, so a long-lived
+  /// server's history stays bounded (stats().evaluations counts them all).
+  static constexpr std::size_t kWindowHistory = 1024;
+
+  /// The last kWindowHistory evaluated snapshots, oldest first; each
+  /// snapshot's `index` counts every evaluation, retained or not.
+  const std::deque<WindowSnapshot>& windows() const { return windows_; }
   const std::vector<Alert>& alerts() const { return alerts_; }
   MonitorStats stats() const;
 
@@ -126,7 +133,7 @@ class FairnessMonitor : public serve::ScoreObserver {
   SlidingWindow window_;
   AlertPolicy policy_;
   std::size_t since_eval_ = 0;
-  std::vector<WindowSnapshot> windows_;
+  std::deque<WindowSnapshot> windows_;
   std::vector<Alert> alerts_;
   uint64_t dropped_stale_ = 0;
   uint64_t skipped_gap_ = 0;

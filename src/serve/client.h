@@ -87,9 +87,9 @@ struct ClientStats {
   uint64_t swaps = 0;      ///< Completed SwapPipeline installs.
 };
 
-/// Replaces the live fitted model for one cache key without blocking or
-/// failing in-flight scores (epoch/RCU reclamation: requests that already
-/// looked the model up finish on the version they saw).
+/// Replaces the live fitted model for one cache key without failing
+/// in-flight scores: requests that already looked the model up finish on
+/// the version they saw, which lives until the last of them drops it.
 struct SwapRequest {
   std::string approach_id;
 

@@ -42,19 +42,15 @@ ScoringService::ScoringService(ScoringServiceOptions options)
       ids_(RequestIdSeed(options_)),
       sequencer_(options_.sequencer != nullptr
                      ? options_.sequencer
-                     : std::make_shared<ResponseSequencer>()) {
-  live_.store(new LiveTable(), std::memory_order_seq_cst);
-}
+                     : std::make_shared<ResponseSequencer>()) {}
 
 ScoringService::~ScoringService() {
   // ~ThreadPool drains its queue, so queued ScoreAsync tasks still run
   // here. Reset the pool explicitly *before* implicit member destruction:
   // otherwise mu_/slot_ready_/cache_/in_flight_ (declared after pool_,
   // hence destroyed first) would already be gone when those tasks touch
-  // them. With the pool drained there are no readers left, so the live
-  // table can be freed directly; retired tables die with epochs_.
+  // them.
   pool_.reset();
-  delete live_.exchange(nullptr, std::memory_order_seq_cst);
 }
 
 Result<ScoreResponse> ScoringService::Score(const ScoreRequest& request) {
@@ -267,51 +263,20 @@ Result<std::shared_ptr<const Pipeline>> ScoringService::GetOrFit(
   const uint64_t fingerprint = DatasetFingerprint(*request.train);
   const std::string key = CacheKey(request.approach_id, fingerprint, seed);
 
-  // Lock-free warm path: look the key up in the published epoch-protected
-  // snapshot. The guard is held only across the table read and the
-  // shared_ptr copies — once we own references, swaps and evictions can
-  // proceed and reclamation waits for us automatically.
-  {
-    std::shared_ptr<const Pipeline> model;
-    {
-      EpochGuard guard(epochs_);
-      const LiveTable* table = live_.load(std::memory_order_seq_cst);
-      auto it = table->find(key);
-      if (it != table->end()) {
-        const std::shared_ptr<LiveEntry>& entry = it->second;
-        entry->last_used.store(NextTick(), std::memory_order_relaxed);
-        model = entry->pipeline;
-      }
-    }
-    if (model != nullptr) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      FAIRBENCH_COUNTER_ADD("serve.cache.hit", 1);
-      *hit = true;
-      *fit_seconds = 0.0;
-      *cache_outcome = "hit";
-      return model;
-    }
-  }
-
   std::shared_ptr<Slot> slot;
-  bool fitter = false;
   {
     std::unique_lock<std::mutex> lock(mu_);
     auto it = cache_.find(key);
-    if (it != cache_.end()) {
-      slot = it->second;
-    } else {
+    if (it == cache_.end()) {
       slot = std::make_shared<Slot>();
       cache_.emplace(key, slot);
-      fitter = true;
       misses_.fetch_add(1, std::memory_order_relaxed);
-      if (EvictIfNeededLocked()) PublishLiveLocked();
-    }
-    if (!fitter) {
-      // The fast path missed but the slot exists: either another thread
-      // is mid-fit (single-flight: wait for it, bounded by the request
-      // deadline when one is set) or the publish raced us and the model
-      // is already here.
+      EvictIfNeededLocked();
+    } else {
+      slot = it->second;
+      // A slot that is not ready yet is another thread's fit in progress
+      // (single-flight: wait for it, bounded by the request deadline when
+      // one is set).
       const bool waited = !slot->ready;
       while (!slot->ready) {
         if (deadline > 0.0) {
@@ -338,8 +303,8 @@ Result<std::shared_ptr<const Pipeline>> ScoringService::GetOrFit(
       // (the single-flight path) rather than finding a warm model.
       *cache_outcome = waited ? "shared" : "hit";
       FAIRBENCH_RETURN_NOT_OK(slot->status);
-      slot->entry->last_used.store(NextTick(), std::memory_order_relaxed);
-      return slot->entry->pipeline;
+      slot->last_used = ++tick_;
+      return slot->pipeline;
     }
   }
 
@@ -351,9 +316,7 @@ Result<std::shared_ptr<const Pipeline>> ScoringService::GetOrFit(
   Timer fit_timer;
   Status status = Status::OK();
   std::shared_ptr<Pipeline> pipeline;
-  Result<Pipeline> made = options_.sparse_cold_fits
-                              ? MakeServingPipeline(request.approach_id)
-                              : MakePipeline(request.approach_id);
+  Result<Pipeline> made = MakeServingPipeline(request.approach_id);
   if (!made.ok()) {
     status = made.status();
   } else {
@@ -366,37 +329,27 @@ Result<std::shared_ptr<const Pipeline>> ScoringService::GetOrFit(
   FAIRBENCH_HDR_RECORD("serve.fit.ns", static_cast<uint64_t>(elapsed * 1e9),
                        ctx.request_id);
 
-  std::shared_ptr<LiveEntry> entry;
   {
     std::lock_guard<std::mutex> lock(mu_);
     slot->status = status;
-    slot->fit_seconds = elapsed;
-    if (status.ok()) {
-      entry = std::make_shared<LiveEntry>();
-      entry->pipeline = std::move(pipeline);
-      entry->last_used.store(NextTick(), std::memory_order_relaxed);
-      slot->entry = entry;
-    }
     slot->ready = true;
-    // Identity check before touching the map: a concurrent SwapPipeline
-    // may have replaced this key's slot while we were fitting — in that
-    // case the swap's model stays live and our result only feeds the
-    // waiters already holding this slot.
-    auto it = cache_.find(key);
-    const bool still_current = it != cache_.end() && it->second == slot;
-    if (!status.ok()) {
+    if (status.ok()) {
+      slot->pipeline = pipeline;
+      slot->last_used = ++tick_;
+    } else {
       // Failed fits are not cached: drop the slot so a later request can
       // retry (waiters already hold their shared_ptr and see the error).
-      if (still_current) cache_.erase(it);
-    } else if (still_current) {
-      PublishLiveLocked();
+      // The identity check leaves alone a slot that a concurrent
+      // SwapPipeline installed for this key while we were fitting.
+      auto it = cache_.find(key);
+      if (it != cache_.end() && it->second == slot) cache_.erase(it);
     }
   }
   slot_ready_.notify_all();
   FAIRBENCH_RETURN_NOT_OK(status);
   *hit = false;
   *fit_seconds = elapsed;
-  return entry->pipeline;
+  return std::shared_ptr<const Pipeline>(std::move(pipeline));
 }
 
 Result<std::shared_ptr<const Pipeline>> ScoringService::BuildSwapPipeline(
@@ -414,9 +367,7 @@ Result<std::shared_ptr<const Pipeline>> ScoringService::BuildSwapPipeline(
     return std::shared_ptr<const Pipeline>(
         std::make_shared<Pipeline>(std::move(loaded)));
   }
-  Result<Pipeline> made = options_.sparse_cold_fits
-                              ? MakeServingPipeline(swap.approach_id)
-                              : MakePipeline(swap.approach_id);
+  Result<Pipeline> made = MakeServingPipeline(swap.approach_id);
   if (!made.ok()) return made.status();
   auto pipeline = std::make_shared<Pipeline>(std::move(made).value());
   FairContext context;
@@ -433,71 +384,44 @@ Status ScoringService::SwapPipeline(const SwapRequest& swap) {
   const uint64_t fingerprint = DatasetFingerprint(*swap.train);
   const std::string key = CacheKey(swap.approach_id, fingerprint, seed);
 
-  // Build (deserialize or refit) entirely outside the service locks; the
-  // install below is one map update plus one pointer swap.
+  // Build (deserialize or refit) entirely outside the service mutex; the
+  // install below is one map update.
   FAIRBENCH_ASSIGN_OR_RETURN(std::shared_ptr<const Pipeline> pipeline,
                              BuildSwapPipeline(swap, seed));
-  auto entry = std::make_shared<LiveEntry>();
-  entry->pipeline = std::move(pipeline);
-  entry->last_used.store(NextTick(), std::memory_order_relaxed);
   auto slot = std::make_shared<Slot>();
   slot->ready = true;
-  slot->entry = std::move(entry);
+  slot->pipeline = std::move(pipeline);
   {
     std::lock_guard<std::mutex> lock(mu_);
     // Replaces any previous slot for the key. A displaced mid-fit slot
-    // keeps its waiters (its fit completes into the orphaned slot and the
-    // identity check there leaves this install alone); a displaced live
-    // model is retired via the epoch domain by the publish below, so
-    // readers that already hold it finish undisturbed.
+    // keeps its waiters (its fit completes into the orphaned slot); a
+    // displaced model stays alive for the requests that already hold it.
+    slot->last_used = ++tick_;
     cache_[key] = std::move(slot);
     EvictIfNeededLocked();
-    PublishLiveLocked();
   }
   swaps_.fetch_add(1, std::memory_order_relaxed);
   FAIRBENCH_COUNTER_ADD("serve.swaps.total", 1);
   return Status::OK();
 }
 
-void ScoringService::PublishLiveLocked() {
-  auto* table = new LiveTable();
-  for (const auto& [key, slot] : cache_) {
-    if (slot->ready && slot->status.ok() && slot->entry != nullptr) {
-      table->emplace(key, slot->entry);
-    }
-  }
-  const LiveTable* old =
-      live_.exchange(table, std::memory_order_seq_cst);
-  // Unpublished first (the exchange above), then retired: readers pinned
-  // before the accompanying epoch bump keep `old` alive until they exit.
-  epochs_.Retire([old]() { delete old; });
-}
-
-bool ScoringService::EvictIfNeededLocked() {
-  bool evicted_any = false;
+void ScoringService::EvictIfNeededLocked() {
   while (cache_.size() > options_.cache_capacity) {
     // Evict the smallest recency stamp; never a slot mid-fit (waiters
     // poll it, and its key must stay claimed for single-flight).
     auto coldest = cache_.end();
-    uint64_t coldest_tick = UINT64_MAX;
     for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-      if (!it->second->ready) continue;
-      const uint64_t tick =
-          it->second->entry != nullptr
-              ? it->second->entry->last_used.load(std::memory_order_relaxed)
-              : 0;
-      if (tick < coldest_tick) {
-        coldest_tick = tick;
+      if (it->second->ready &&
+          (coldest == cache_.end() ||
+           it->second->last_used < coldest->second->last_used)) {
         coldest = it;
       }
     }
     if (coldest == cache_.end()) break;  // Everything is mid-fit.
     FAIRBENCH_COUNTER_ADD("serve.cache.evicted.total", 1);
     cache_.erase(coldest);
-    evicted_any = true;
   }
   FAIRBENCH_GAUGE_SET("serve.cache.size", static_cast<double>(cache_.size()));
-  return evicted_any;
 }
 
 CacheStats ScoringService::cache_stats() const {
@@ -527,7 +451,6 @@ void ScoringService::ClearCache() {
       ++it;
     }
   }
-  PublishLiveLocked();
   FAIRBENCH_GAUGE_SET("serve.cache.size", static_cast<double>(cache_.size()));
 }
 

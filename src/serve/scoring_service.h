@@ -19,7 +19,6 @@
 #include "exec/thread_pool.h"
 #include "obs/request_context.h"
 #include "serve/client.h"
-#include "serve/epoch.h"
 #include "serve/observer.h"
 #include "serve/sequencer.h"
 
@@ -48,14 +47,6 @@ struct ScoringServiceOptions {
   /// sharded client this bound is per shard: admission control scales
   /// with the tier.
   std::size_t max_in_flight = 32;
-
-  /// Cold fits use the registry's *serving* pipeline variant
-  /// (MakeServingPipeline): identical for every approach except the three
-  /// Zafar variants, which opt into the CSR + truncated CG-Newton solver
-  /// (ZafarOptions::use_sparse_newton) — same penalized objective, much
-  /// cheaper cold fit (delta recorded in BENCH_serve.json). Set false to
-  /// fit exactly what the offline experiment harnesses fit.
-  bool sparse_cold_fits = true;
 
   /// Completion hook (borrowed; must outlive the service). Every
   /// *successful* response is delivered exactly once, in sequence order,
@@ -87,13 +78,14 @@ struct ScoringServiceOptions {
 ///
 /// - Fitted pipelines are cached under (approach_id, DatasetFingerprint,
 ///   seed) with LRU eviction; concurrent misses on one key fit once and
-///   share the result (single-flight).
-/// - The warm path is lock-free: lookups read an immutable epoch-protected
-///   snapshot of the cache (serve/epoch.h), so cache hits never contend on
-///   the service mutex; recency is tracked with per-entry atomic stamps.
-/// - SwapPipeline atomically replaces the live model for one key
-///   (epoch/RCU): in-flight scores finish on the version they looked up,
-///   with zero blocking and zero failures.
+///   share the result (single-flight). Cold fits use the registry's
+///   serving variant (MakeServingPipeline).
+/// - A lookup holds the service mutex for one map find and one
+///   shared_ptr copy; prediction then runs without any lock, since a
+///   fitted pipeline predicts statelessly.
+/// - SwapPipeline replaces the model for one key under the same mutex:
+///   in-flight scores finish on the version they looked up, and a
+///   replaced or evicted model lives until its last request drops it.
 /// - Rows of a batch are scored in parallel on an exec::ThreadPool.
 /// - Admission is bounded: at most max_in_flight requests past the door,
 ///   beyond that Score() returns ResourceExhausted immediately.
@@ -120,9 +112,8 @@ class ScoringService : public Client {
 
   /// Installs a fitted model (deserialized artifact, or a refit from
   /// swap.train when the artifact is empty) as the live model for the
-  /// swap's cache key. The build happens outside every lock; the install
-  /// is one pointer swap, and replaced state is reclaimed via the epoch
-  /// domain once the last in-flight reader is done with it.
+  /// swap's cache key. The build happens outside the service mutex; the
+  /// install is one map update under it.
   Status SwapPipeline(const SwapRequest& swap) override;
 
   ClientStats Stats() const override;
@@ -132,33 +123,17 @@ class ScoringService : public Client {
   /// Drops every cached model (stats keep accumulating).
   void ClearCache() override;
 
-  /// Retired-but-unreclaimed epoch garbage (tests pin that hot swaps do
-  /// not leak old tables once readers drain).
-  std::size_t epoch_garbage_for_test() const { return epochs_.pending(); }
-
  private:
-  /// One live cached model. Immutable after publication except for the
-  /// recency stamp; replacement (refit, swap) installs a *new* entry, so
-  /// a reader's shared_ptr always sees a frozen pipeline. A fitted
-  /// pipeline predicts statelessly, so any number of requests score it
-  /// at once without a lock.
-  struct LiveEntry {
-    std::shared_ptr<const Pipeline> pipeline;
-    /// Last-touch stamp from tick_; eviction removes the smallest.
-    std::atomic<uint64_t> last_used{0};
-  };
-
-  /// Immutable warm-lookup snapshot, swapped wholesale on every cache
-  /// mutation and reclaimed through the epoch domain.
-  using LiveTable = std::map<std::string, std::shared_ptr<LiveEntry>>;
-
-  /// One cache slot; `ready` flips once under the service mutex when the
-  /// fitting thread finishes (successfully or not).
+  /// One cache slot; `ready` flips once under mu_ when the fitting
+  /// thread finishes (successfully or not). A ready slot's pipeline is
+  /// never mutated (a refit or swap installs a new slot), so any number of
+  /// requests score it at once without a lock.
   struct Slot {
     bool ready = false;
     Status status = Status::OK();
-    std::shared_ptr<LiveEntry> entry;
-    double fit_seconds = 0.0;
+    std::shared_ptr<const Pipeline> pipeline;
+    /// Last-touch stamp from tick_; eviction removes the smallest.
+    uint64_t last_used = 0;
   };
 
   /// Stamps the trace context, runs ScoreWithContext, then records the
@@ -194,20 +169,9 @@ class ScoringService : public Client {
   Status CheckDeadline(double deadline, const Timer& admitted,
                        const char* stage) const;
 
-  /// Rebuilds the live table from the ready+healthy slots of cache_ and
-  /// publishes it; the displaced table is retired into the epoch domain.
+  /// Evicts coldest-stamp ready slots until the cache fits its capacity.
   /// Requires mu_.
-  void PublishLiveLocked();
-
-  /// Fresh recency stamp.
-  uint64_t NextTick() {
-    return tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-
-  /// Evicts coldest-stamp ready slots until the cache fits its capacity;
-  /// returns whether anything was evicted (the caller republishes if so).
-  /// Requires mu_.
-  bool EvictIfNeededLocked();
+  void EvictIfNeededLocked();
 
   ScoringServiceOptions options_;
   std::unique_ptr<ThreadPool> pool_;
@@ -221,19 +185,14 @@ class ScoringService : public Client {
   /// inside a ShardedScoringService (see sequencer.h).
   std::shared_ptr<ResponseSequencer> sequencer_;
 
-  /// Epoch domain protecting live_ snapshots (lock-free warm lookups,
-  /// deferred reclamation of swapped-out tables).
-  EpochDomain epochs_;
-  std::atomic<const LiveTable*> live_{nullptr};
-
-  std::atomic<uint64_t> tick_{0};
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> swaps_{0};
 
   mutable std::mutex mu_;
   std::condition_variable slot_ready_;
-  std::map<std::string, std::shared_ptr<Slot>> cache_;
+  std::map<std::string, std::shared_ptr<Slot>> cache_;  // Guarded by mu_.
+  uint64_t tick_ = 0;                                    // Guarded by mu_.
   std::atomic<std::size_t> in_flight_{0};
 };
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <thread>
 #include <vector>
 
@@ -40,8 +41,8 @@ FairnessMonitorOptions SmallOptions() {
   return options;
 }
 
-void ExpectSnapshotsIdentical(const std::vector<WindowSnapshot>& a,
-                              const std::vector<WindowSnapshot>& b) {
+void ExpectSnapshotsIdentical(const std::deque<WindowSnapshot>& a,
+                              const std::deque<WindowSnapshot>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].index, b[i].index);
@@ -92,6 +93,24 @@ TEST(FairnessMonitorTest, EvaluatesAtStrideOnceWindowIsFull) {
   EXPECT_EQ(stats.evaluations, 5u);
   EXPECT_EQ(stats.dropped_queue_full, 0u);
   EXPECT_EQ(stats.skipped_gap, 0u);
+}
+
+TEST(FairnessMonitorTest, WindowHistoryKeepsOnlyTheMostRecentSnapshots) {
+  FairnessMonitorOptions options = SmallOptions();
+  options.window.max_events = 4;
+  options.stride_events = 1;  // One evaluation per event once full.
+  FairnessMonitor fair_monitor(options);
+  constexpr std::size_t kExtra = 7;
+  constexpr std::size_t kEvaluations = FairnessMonitor::kWindowHistory + kExtra;
+  // The first evaluation lands on the 4th event, then one per event.
+  for (const ScoredEvent& event : MakeEvents(kEvaluations + 3, 8)) {
+    ASSERT_TRUE(fair_monitor.Ingest(event));
+  }
+  fair_monitor.Drain();
+  EXPECT_EQ(fair_monitor.stats().evaluations, kEvaluations);
+  ASSERT_EQ(fair_monitor.windows().size(), FairnessMonitor::kWindowHistory);
+  EXPECT_EQ(fair_monitor.windows().front().index, kExtra);
+  EXPECT_EQ(fair_monitor.windows().back().index, kEvaluations - 1);
 }
 
 TEST(FairnessMonitorTest, ShuffledArrivalIsByteIdenticalToSerial) {

@@ -1,7 +1,7 @@
 // SwapPipeline hot-swap tests: artifact and refit installs, approach
-// validation, and the core RCU claim — a swap storm under concurrent load
-// blocks nothing and fails nothing, and the retired state drains once
-// readers do (tools/ci.sh replays the storm under TSan).
+// validation, and the core claim — a swap storm under concurrent load
+// fails nothing, and a replaced model stays valid for the requests that
+// still hold it (tools/ci.sh replays the storm under TSan and ASan).
 
 #include <gtest/gtest.h>
 
@@ -135,10 +135,10 @@ TEST(HotSwapTest, ArtifactApproachMismatchIsRejected) {
   EXPECT_EQ(service.SwapPipeline(swap).code(), StatusCode::kInvalidArgument);
 }
 
-/// The RCU contract under pressure: reader threads score a warm key in a
+/// The swap contract under pressure: reader threads score a warm key in a
 /// tight loop while the main thread refit-swaps that same key repeatedly.
-/// Every score must succeed (no blocking, no failure window), and once the
-/// readers drain, every retired table must be reclaimable.
+/// Every score must succeed (no failure window), and each reader must be
+/// able to finish on a model that a swap has since replaced.
 TEST(HotSwapTest, SwapStormUnderLoadFailsNothing) {
   const Fixture fx = MakeFixture();
   ScoringServiceOptions options;
@@ -146,7 +146,7 @@ TEST(HotSwapTest, SwapStormUnderLoadFailsNothing) {
   options.max_in_flight = 256;
   ScoringService service(options);
 
-  // Warm the key so readers start on the lock-free path.
+  // Warm the key so readers start on the cache-hit path.
   ASSERT_TRUE(service.Score(MakeRequest(fx, "lr")).ok());
 
   constexpr int kReaders = 4;
@@ -180,11 +180,6 @@ TEST(HotSwapTest, SwapStormUnderLoadFailsNothing) {
   EXPECT_EQ(ok_scores.load(),
             static_cast<uint64_t>(kReaders) * kScoresPerReader);
   EXPECT_EQ(service.Stats().swaps, static_cast<uint64_t>(kSwaps));
-
-  // Readers are gone: one more cache mutation retires the current table's
-  // predecessor and must find nothing left pinning the limbo list.
-  service.ClearCache();
-  EXPECT_EQ(service.epoch_garbage_for_test(), 0u);
 }
 
 }  // namespace

@@ -175,30 +175,17 @@ TEST(ScoringServiceTest, ServingColdFitsUseTheSparseZafarSolver) {
   const Fixture fx = MakeFixture();
   ScoringServiceOptions options;
   options.run.seed = 5;
-  ScoringService service(options);  // sparse_cold_fits defaults to true.
+  ScoringService service(options);
 
   Result<ScoreResponse> served = service.Score(MakeRequest(fx, "zafar_dp_fair"));
   ASSERT_TRUE(served.ok()) << served.status().ToString();
 
-  // The serving pipeline (CSR + CG-Newton Zafar) is what got fit...
+  // The serving pipeline (CSR + CG-Newton Zafar) is what got fit.
   Result<Pipeline> sparse = MakeServingPipeline("zafar_dp_fair");
   ASSERT_TRUE(sparse.ok());
   const FairContext context{{}, {}, /*seed=*/5};
   ASSERT_TRUE(sparse->Fit(fx.train, context).ok());
   EXPECT_EQ(served->predictions, sparse->Predict(fx.test).value());
-
-  // ...and the opt-out restores the offline-harness pipeline exactly.
-  ScoringServiceOptions dense_options;
-  dense_options.run.seed = 5;
-  dense_options.sparse_cold_fits = false;
-  ScoringService dense_service(dense_options);
-  Result<ScoreResponse> dense_served =
-      dense_service.Score(MakeRequest(fx, "zafar_dp_fair"));
-  ASSERT_TRUE(dense_served.ok());
-  Result<Pipeline> dense = MakePipeline("zafar_dp_fair");
-  ASSERT_TRUE(dense.ok());
-  ASSERT_TRUE(dense->Fit(fx.train, context).ok());
-  EXPECT_EQ(dense_served->predictions, dense->Predict(fx.test).value());
 }
 
 TEST(ScoringServiceTest, LruEvictsColdestEntry) {
@@ -254,6 +241,40 @@ TEST(ScoringServiceTest, ImpossibleDeadlineYieldsDeadlineExceeded) {
   request.deadline_seconds = 300.0;
   Result<ScoreResponse> retry = service.Score(request);
   EXPECT_TRUE(retry.ok()) << retry.status().ToString();
+}
+
+TEST(ScoringServiceTest, FailedFitIsNotCachedAndIsRetried) {
+  const Fixture fx = MakeFixture();
+  Result<Dataset> empty = fx.train.SelectRows({});
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  ScoreRequest request = MakeRequest(fx, "zafar_dp_fair");
+  request.train = &*empty;
+  ScoringService service;
+
+  // Each request refits the key: a failed fit leaves no cache entry behind.
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(service.Score(request).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  CacheStats stats = service.cache_stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.size, 0u);
+
+  // Concurrent requests on the failing key, whether they fit it or wait
+  // on another request's fit, all see the error.
+  constexpr int kThreads = 4;
+  std::vector<StatusCode> codes(kThreads, StatusCode::kOk);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back(
+        [&, t]() { codes[t] = service.Score(request).status().code(); });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(codes[t], StatusCode::kInvalidArgument) << "thread " << t;
+  }
+  EXPECT_EQ(service.cache_stats().size, 0u);
 }
 
 TEST(ScoringServiceTest, FullServiceRejectsInsteadOfBlocking) {

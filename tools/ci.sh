@@ -18,12 +18,15 @@
 #          19 approaches) must still pass with the obs counters compiled
 #          out.
 # Stage 6: Serving gate: the artifact round-trip and the concurrent-cache
-#          smoke re-run under TSan (single-flight fitting, epoch-protected
+#          smoke re-run under TSan (single-flight fitting, mutex-guarded
 #          lookups, and many requests scoring one shared fitted pipeline
-#          at once, Feld included, with no lock around prediction), the
-#          corruption suite re-runs under ASan+UBSan (artifact stores are
-#          untrusted input), and the committed BENCH_serve.json must match
-#          the schema tools/record_bench.py emits.
+#          at once, Feld included, with no lock around prediction); the
+#          corruption suite (artifact stores are untrusted input) and the
+#          scoring, hot-swap and sharded suites re-run under ASan+UBSan,
+#          where a use-after-free of a swapped-out model is fatal and the
+#          leak check proves replaced models are freed; and the committed
+#          BENCH_serve.json must match the schema tools/record_bench.py
+#          emits.
 # Stage 7: Monitoring gate: the monitor suites re-run under TSan (the
 #          observer queue and the ingest/drain split are the repo's only
 #          lock-free code), and the committed BENCH_monitor.json must
@@ -43,7 +46,7 @@
 #          exactly the class those catch), and the committed
 #          BENCH_kernels.json must pass the record_bench.py sparse schema
 #          gate (every sparse family paired ref+opt).
-# Stage 10: Sharded-serving gate: the epoch/RCU, consistent-hash router,
+# Stage 10: Sharded-serving gate: the consistent-hash router,
 #          sharded-equivalence, and hot-swap-storm suites re-run under
 #          TSan, tools/load_gen drives an open-loop Poisson schedule
 #          against the 4-shard tier with a mid-run hot swap (exit gates
@@ -119,13 +122,13 @@ cmake --build build-obs-off -j "${JOBS}"
 ctest --test-dir build-obs-off --output-on-failure \
     -R 'kernel_differential_test|prediction_golden_test'
 
-echo "==> Stage 6: Serving gate (TSan cache smoke, ASan corruption, bench schema)"
+echo "==> Stage 6: Serving gate (TSan cache smoke, ASan corruption/serve suites, bench schema)"
 TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-tsan \
     --output-on-failure -j "${JOBS}" \
     -R 'artifact_roundtrip_test|scoring_service_test'
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
-    -R 'artifact_corruption_test|artifact_roundtrip_test'
+    -R 'artifact_corruption_test|artifact_roundtrip_test|scoring_service_test|hot_swap_test|sharded_scoring_service_test'
 # Single schema gate for the committed record (approaches, sharded,
 # zafar_cold_fit, and open_loop blocks) — shared with stage 10.
 python3 tools/record_bench.py --check-serve BENCH_serve.json
@@ -186,12 +189,12 @@ ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
 python3 tools/record_bench.py --check-kernels BENCH_kernels.json
 
 echo "==> Stage 10: Sharded-serving gate (TSan router/hot-swap suites, open-loop smoke)"
-# The epoch/RCU hot-swap path and the consistent-hash router are the
-# serving tier's only lock-free code beyond the monitor queue; the swap
-# storm and the sharded equivalence suites re-run under TSan.
+# The hot-swap path (map updates under the service mutex while readers
+# score models a swap has replaced) and the consistent-hash router; the
+# swap storm and the sharded equivalence suites re-run under TSan.
 TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-tsan \
     --output-on-failure -j "${JOBS}" \
-    -R 'epoch_test|consistent_hash_test|sharded_scoring_service_test|hot_swap_test|scoring_service_test'
+    -R 'consistent_hash_test|sharded_scoring_service_test|hot_swap_test|scoring_service_test'
 # Open-loop smoke under TSan: a Poisson schedule against the 4-shard tier
 # with a hot swap of every approach mid-run. load_gen itself exits
 # nonzero if any request or swap fails (the zero-failure gate).
