@@ -1,7 +1,5 @@
 #include "causal/intervention.h"
 
-#include <algorithm>
-
 namespace fairbench {
 
 Result<double> AverageCausalEffect(const BayesNet& bn, int s_var, int y_var,
@@ -20,64 +18,6 @@ Result<double> AverageCausalEffect(const BayesNet& bn, int s_var, int y_var,
                                              options.num_samples,
                                              options.seed ^ 0x9e3779b9ull);
   return p1 - p0;
-}
-
-namespace {
-
-/// Samples one assignment where variables in `mediator_set` see S forced
-/// to `s_override` when evaluating their CPTs; everything else is natural.
-std::vector<int> SamplePathSpecific(const BayesNet& bn, Rng& rng, int s_var,
-                                    const std::vector<bool>& mediator_set,
-                                    int s_override) {
-  std::vector<int> assignment(bn.num_vars(), 0);
-  std::vector<int> modified(bn.num_vars(), 0);
-  std::vector<double> probs;
-  for (int v : bn.dag().TopologicalOrder()) {
-    const std::size_t card = bn.cardinality(v);
-    probs.resize(card);
-    const bool use_override = mediator_set[static_cast<std::size_t>(v)];
-    // Evaluate v's CPT against the (possibly S-overridden) context.
-    modified = assignment;
-    if (use_override) modified[static_cast<std::size_t>(s_var)] = s_override;
-    for (std::size_t k = 0; k < card; ++k) {
-      probs[k] = bn.CondProb(v, static_cast<int>(k), modified);
-    }
-    assignment[static_cast<std::size_t>(v)] =
-        static_cast<int>(rng.Categorical(probs));
-  }
-  return assignment;
-}
-
-}  // namespace
-
-Result<double> PathSpecificEffect(const BayesNet& bn, int s_var, int y_var,
-                                  const std::vector<int>& mediators,
-                                  const InterventionOptions& options) {
-  const int nv = static_cast<int>(bn.num_vars());
-  if (s_var < 0 || s_var >= nv || y_var < 0 || y_var >= nv) {
-    return Status::InvalidArgument("PathSpecificEffect: bad variable indices");
-  }
-  std::vector<bool> mediator_set(bn.num_vars(), false);
-  for (int m : mediators) {
-    if (m < 0 || m >= nv) {
-      return Status::OutOfRange("PathSpecificEffect: mediator out of range");
-    }
-    mediator_set[static_cast<std::size_t>(m)] = true;
-  }
-  Rng rng1(options.seed);
-  Rng rng0(options.seed ^ 0x5851f42dull);
-  std::size_t hits1 = 0;
-  std::size_t hits0 = 0;
-  for (std::size_t i = 0; i < options.num_samples; ++i) {
-    const std::vector<int> a1 =
-        SamplePathSpecific(bn, rng1, s_var, mediator_set, 1);
-    const std::vector<int> a0 =
-        SamplePathSpecific(bn, rng0, s_var, mediator_set, 0);
-    if (a1[static_cast<std::size_t>(y_var)] == 1) ++hits1;
-    if (a0[static_cast<std::size_t>(y_var)] == 1) ++hits0;
-  }
-  const double n = static_cast<double>(std::max<std::size_t>(options.num_samples, 1));
-  return (static_cast<double>(hits1) - static_cast<double>(hits0)) / n;
 }
 
 }  // namespace fairbench

@@ -1,7 +1,8 @@
 #ifndef FAIRBENCH_CAUSAL_INTERVENTION_H_
 #define FAIRBENCH_CAUSAL_INTERVENTION_H_
 
-#include <vector>
+#include <cstddef>
+#include <cstdint>
 
 #include "causal/bayes_net.h"
 #include "common/result.h"
@@ -21,14 +22,6 @@ struct InterventionOptions {
 /// the quantity ZHA-WU tests against its epsilon threshold.
 Result<double> AverageCausalEffect(const BayesNet& bn, int s_var, int y_var,
                                    const InterventionOptions& options = {});
-
-/// Path-specific effect of S on Y transmitted through the given mediator
-/// variables only: when a mediator's CPT is evaluated, S is overridden to
-/// the do-value, while every other variable sees S's natural value.
-/// Returns the difference between do-value 1 and 0.
-Result<double> PathSpecificEffect(const BayesNet& bn, int s_var, int y_var,
-                                  const std::vector<int>& mediators,
-                                  const InterventionOptions& options = {});
 
 }  // namespace fairbench
 

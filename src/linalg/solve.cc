@@ -46,65 +46,4 @@ Result<Vector> CholeskySolve(const Matrix& a, const Vector& b) {
   return x;
 }
 
-Result<Vector> LuSolve(const Matrix& a, const Vector& b) {
-  const std::size_t n = a.rows();
-  if (a.cols() != n || b.size() != n) {
-    return Status::InvalidArgument("LuSolve: shape mismatch");
-  }
-  Matrix lu = a;
-  std::vector<std::size_t> perm(n);
-  for (std::size_t i = 0; i < n; ++i) perm[i] = i;
-
-  for (std::size_t col = 0; col < n; ++col) {
-    // Partial pivoting.
-    std::size_t pivot = col;
-    double best = std::fabs(lu(col, col));
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double v = std::fabs(lu(r, col));
-      if (v > best) {
-        best = v;
-        pivot = r;
-      }
-    }
-    if (best < 1e-14) {
-      return Status::FailedPrecondition("LuSolve: singular matrix");
-    }
-    if (pivot != col) {
-      for (std::size_t c = 0; c < n; ++c) std::swap(lu(pivot, c), lu(col, c));
-      std::swap(perm[pivot], perm[col]);
-    }
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double f = lu(r, col) / lu(col, col);
-      lu(r, col) = f;
-      // Trailing-row update: an Axpy on the optimized kernel.
-      linalg::Axpy(-f, lu.Row(col) + col + 1, lu.Row(r) + col + 1,
-                   n - col - 1);
-    }
-  }
-  // Solve L y = P b, then U x = y.
-  Vector y(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    y[i] = b[perm[i]] - linalg::Dot(lu.Row(i), y.data(), i);
-  }
-  Vector x(n, 0.0);
-  for (std::size_t ii = n; ii > 0; --ii) {
-    const std::size_t i = ii - 1;
-    const double s =
-        y[i] - linalg::Dot(lu.Row(i) + i + 1, x.data() + i + 1, n - i - 1);
-    x[i] = s / lu(i, i);
-  }
-  return x;
-}
-
-Result<Vector> LeastSquares(const Matrix& a, const Vector& b, double ridge) {
-  if (a.rows() != b.size()) {
-    return Status::InvalidArgument("LeastSquares: shape mismatch");
-  }
-  Vector unit(a.rows(), 1.0);
-  Matrix gram = a.WeightedGram(unit);  // A^T A
-  for (std::size_t i = 0; i < gram.rows(); ++i) gram(i, i) += ridge;
-  const Vector atb = a.TransposedMatVec(b);
-  return CholeskySolve(gram, atb);
-}
-
 }  // namespace fairbench

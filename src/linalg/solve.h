@@ -12,17 +12,6 @@ namespace fairbench {
 /// FailedPrecondition when A is not (numerically) positive definite.
 Result<Vector> CholeskySolve(const Matrix& a, const Vector& b);
 
-/// Solves A x = b for general square A via LU with partial pivoting.
-/// Returns FailedPrecondition for (numerically) singular A.
-Result<Vector> LuSolve(const Matrix& a, const Vector& b);
-
-/// Least-squares solution of min ||A x - b||^2 (+ ridge * ||x||^2) via the
-/// normal equations with a Cholesky solve. `ridge` > 0 makes the system
-/// strictly positive definite and is the standard regularization used by
-/// the library's linear sub-solvers.
-Result<Vector> LeastSquares(const Matrix& a, const Vector& b,
-                            double ridge = 1e-8);
-
 }  // namespace fairbench
 
 #endif  // FAIRBENCH_LINALG_SOLVE_H_

@@ -1,5 +1,6 @@
 #include "metrics/causal_discrimination.h"
 
+#include <cmath>
 #include <cstdint>
 
 #include "common/random.h"
@@ -15,8 +16,9 @@ Result<double> CausalDiscrimination(const Dataset& dataset,
   if (!predictor) {
     return Status::InvalidArgument("CausalDiscrimination: null predictor");
   }
-  if (options.confidence <= 0.0 || options.confidence >= 1.0 ||
-      options.error_bound <= 0.0) {
+  // Written so that a NaN fails: every comparison with NaN is false.
+  if (!(options.confidence > 0.0 && options.confidence < 1.0) ||
+      !(options.error_bound > 0.0 && std::isfinite(options.error_bound))) {
     return Status::InvalidArgument("CausalDiscrimination: bad options");
   }
   const std::size_t n = dataset.num_rows();

@@ -47,7 +47,7 @@ struct CgNewtonOptions {
 /// direction.
 ///
 /// Deterministic: no randomness, and the iterate trajectory is pinned by
-/// tests/optim/cg_newton_test.cc the same way gd/lbfgs are.
+/// tests/optim/cg_newton_test.cc the same way gd is.
 /// Telemetry: records "optim.cg_newton" solver counters plus the total
 /// inner iteration count ("optim.cg_newton.cg_iterations").
 OptimResult MinimizeCgNewton(const Objective& objective,

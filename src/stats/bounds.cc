@@ -8,12 +8,6 @@
 
 namespace fairbench {
 
-double HoeffdingWidth(std::size_t n, double delta, double lo, double hi) {
-  if (n == 0) return std::numeric_limits<double>::infinity();
-  const double range = hi - lo;
-  return range * std::sqrt(std::log(1.0 / delta) / (2.0 * static_cast<double>(n)));
-}
-
 double StudentTUpperBound(const std::vector<double>& sample, double delta) {
   const std::size_t n = sample.size();
   if (n < 2) return std::numeric_limits<double>::infinity();
@@ -34,8 +28,12 @@ double StudentTLowerBound(const std::vector<double>& sample, double delta) {
 
 std::size_t HoeffdingSampleSize(double error, double confidence) {
   const double delta = 1.0 - confidence;
-  const double n = std::log(2.0 / delta) / (2.0 * error * error);
-  return static_cast<std::size_t>(std::ceil(n));
+  const double n = std::ceil(std::log(2.0 / delta) / (2.0 * error * error));
+  // Casting a NaN or out-of-range double is undefined, so saturate first: a
+  // tiny `error` asks for more samples than any dataset holds.
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  if (!(n < static_cast<double>(kMax))) return kMax;
+  return static_cast<std::size_t>(n);
 }
 
 }  // namespace fairbench

@@ -58,30 +58,4 @@ Summary Summarize(const std::vector<double>& values) {
   return s;
 }
 
-double Covariance(const std::vector<double>& a, const std::vector<double>& b) {
-  const std::size_t n = std::min(a.size(), b.size());
-  if (n == 0) return 0.0;
-  const double ma = SampleMean(a);
-  const double mb = SampleMean(b);
-  double s = 0.0;
-  for (std::size_t i = 0; i < n; ++i) s += (a[i] - ma) * (b[i] - mb);
-  return s / static_cast<double>(n);
-}
-
-double PearsonCorrelation(const std::vector<double>& a,
-                          const std::vector<double>& b) {
-  const double cov = Covariance(a, b);
-  double va = 0.0;
-  double vb = 0.0;
-  const double ma = SampleMean(a);
-  const double mb = SampleMean(b);
-  const std::size_t n = std::min(a.size(), b.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    va += (a[i] - ma) * (a[i] - ma);
-    vb += (b[i] - mb) * (b[i] - mb);
-  }
-  if (va <= 0.0 || vb <= 0.0) return 0.0;
-  return cov * static_cast<double>(n) / std::sqrt(va * vb);
-}
-
 }  // namespace fairbench

@@ -38,13 +38,6 @@ double SampleStddev(const std::vector<double>& values);
 /// statistics. Requires non-empty input.
 double Quantile(std::vector<double> values, double q);
 
-/// Pearson correlation of two equal-length samples (0 when degenerate).
-double PearsonCorrelation(const std::vector<double>& a,
-                          const std::vector<double>& b);
-
-/// Sample covariance of two equal-length samples (n denominator).
-double Covariance(const std::vector<double>& a, const std::vector<double>& b);
-
 }  // namespace fairbench
 
 #endif  // FAIRBENCH_STATS_DESCRIPTIVE_H_

@@ -42,45 +42,6 @@ double BetaContinuedFraction(double a, double b, double x) {
   return h;
 }
 
-/// Lower regularized incomplete gamma P(a, x) by series or continued
-/// fraction.
-double RegularizedLowerGamma(double a, double x) {
-  if (x <= 0.0) return 0.0;
-  if (x < a + 1.0) {
-    // Series representation.
-    double ap = a;
-    double sum = 1.0 / a;
-    double del = sum;
-    for (int n = 0; n < 500; ++n) {
-      ap += 1.0;
-      del *= x / ap;
-      sum += del;
-      if (std::fabs(del) < std::fabs(sum) * 3e-14) break;
-    }
-    return sum * std::exp(-x + a * std::log(x) - LogGamma(a));
-  }
-  // Continued fraction for Q(a, x), then P = 1 - Q.
-  constexpr double kFpMin = 1e-300;
-  double b = x + 1.0 - a;
-  double c = 1.0 / kFpMin;
-  double d = 1.0 / b;
-  double h = d;
-  for (int i = 1; i <= 500; ++i) {
-    const double an = -i * (i - a);
-    b += 2.0;
-    d = an * d + b;
-    if (std::fabs(d) < kFpMin) d = kFpMin;
-    c = b + an / c;
-    if (std::fabs(c) < kFpMin) c = kFpMin;
-    d = 1.0 / d;
-    const double del = d * c;
-    h *= del;
-    if (std::fabs(del - 1.0) < 3e-14) break;
-  }
-  const double q = std::exp(-x + a * std::log(x) - LogGamma(a)) * h;
-  return 1.0 - q;
-}
-
 }  // namespace
 
 double LogGamma(double x) {
@@ -98,41 +59,6 @@ double LogGamma(double x) {
   const double t = x + 7.5;
   for (int i = 1; i < 9; ++i) a += kCoef[i] / (x + i);
   return 0.5 * std::log(2.0 * M_PI) + (x + 0.5) * std::log(t) - t + std::log(a);
-}
-
-double NormalCdf(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
-
-double NormalQuantile(double p) {
-  // Acklam's algorithm.
-  static const double a[] = {-3.969683028665376e+01, 2.209460984245205e+02,
-                             -2.759285104469687e+02, 1.383577518672690e+02,
-                             -3.066479806614716e+01, 2.506628277459239e+00};
-  static const double b[] = {-5.447609879822406e+01, 1.615858368580409e+02,
-                             -1.556989798598866e+02, 6.680131188771972e+01,
-                             -1.328068155288572e+01};
-  static const double c[] = {-7.784894002430293e-03, -3.223964580411365e-01,
-                             -2.400758277161838e+00, -2.549732539343734e+00,
-                             4.374664141464968e+00,  2.938163982698783e+00};
-  static const double d[] = {7.784695709041462e-03, 3.224671290700398e-01,
-                             2.445134137142996e+00, 3.754408661907416e+00};
-  const double plow = 0.02425;
-  const double phigh = 1.0 - plow;
-  double q, r;
-  if (p < plow) {
-    q = std::sqrt(-2.0 * std::log(p));
-    return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) /
-           ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0);
-  }
-  if (p <= phigh) {
-    q = p - 0.5;
-    r = q * q;
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) *
-           q /
-           (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0);
-  }
-  q = std::sqrt(-2.0 * std::log(1.0 - p));
-  return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) /
-         ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0);
 }
 
 double RegularizedIncompleteBeta(double a, double b, double x) {
@@ -171,11 +97,6 @@ double StudentTQuantile(double p, double df) {
     }
   }
   return 0.5 * (lo + hi);
-}
-
-double ChiSquareSurvival(double x, double k) {
-  if (x <= 0.0) return 1.0;
-  return 1.0 - RegularizedLowerGamma(k / 2.0, x / 2.0);
 }
 
 }  // namespace fairbench

@@ -3,13 +3,6 @@
 
 namespace fairbench {
 
-/// Standard normal cumulative distribution function.
-double NormalCdf(double x);
-
-/// Inverse of the standard normal CDF (Acklam's rational approximation,
-/// relative error < 1.15e-9). p must lie in (0, 1).
-double NormalQuantile(double p);
-
 /// CDF of Student's t distribution with `df` degrees of freedom.
 double StudentTCdf(double t, double df);
 
@@ -20,10 +13,6 @@ double StudentTQuantile(double p, double df);
 /// Regularized incomplete beta function I_x(a, b), the workhorse behind the
 /// t and F distributions. x in [0, 1].
 double RegularizedIncompleteBeta(double a, double b, double x);
-
-/// Upper-tail probability of the chi-square distribution with k degrees of
-/// freedom: Pr(X >= x). Used by the independence tests.
-double ChiSquareSurvival(double x, double k);
 
 /// Natural log of the gamma function (Lanczos approximation).
 double LogGamma(double x);

@@ -54,28 +54,11 @@ TEST(InterventionTest, NoEffectWhenSIsolated) {
   EXPECT_NEAR(ace.value(), 0.0, 0.02);
 }
 
-TEST(InterventionTest, PathSpecificEffectIsolatesMediatedPath) {
-  // Mediated-only effect: 0.4 * (0.9 - 0.1) = 0.32; direct-only: 0.3.
-  const DiscreteData data = TriangleData(30000, 3, 0.3, 0.4);
-  const BayesNet bn = BayesNet::Fit(data, TriangleDag()).value();
-  Result<double> through_m = PathSpecificEffect(bn, 0, 2, {1});
-  ASSERT_TRUE(through_m.ok());
-  EXPECT_NEAR(through_m.value(), 0.32, 0.03);
-  Result<double> direct_only = PathSpecificEffect(bn, 0, 2, {2});
-  ASSERT_TRUE(direct_only.ok());
-  EXPECT_NEAR(direct_only.value(), 0.3, 0.03);
-  // All paths = total effect.
-  Result<double> all = PathSpecificEffect(bn, 0, 2, {1, 2});
-  ASSERT_TRUE(all.ok());
-  EXPECT_NEAR(all.value(), 0.62, 0.03);
-}
-
 TEST(InterventionTest, RejectsBadIndices) {
   const DiscreteData data = TriangleData(100, 4, 0.1, 0.1);
   const BayesNet bn = BayesNet::Fit(data, TriangleDag()).value();
   EXPECT_FALSE(AverageCausalEffect(bn, 0, 0).ok());
   EXPECT_FALSE(AverageCausalEffect(bn, -1, 2).ok());
-  EXPECT_FALSE(PathSpecificEffect(bn, 0, 2, {9}).ok());
 }
 
 TEST(InterventionTest, DeterministicForSeed) {

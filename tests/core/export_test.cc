@@ -34,10 +34,7 @@ TEST(ExportTest, ExperimentCsvHasOneRowPerApproachMetric) {
 }
 
 TEST(ExportTest, RuntimeCsvEmitsSweepPoints) {
-  RuntimeCurve curve;
-  curve.id = "lr";
-  curve.display = "LR";
-  curve.stage = "baseline";
+  RuntimeCurve curve{"lr", "LR", "baseline", {}};
   RuntimePoint p;
   p.x = 1000;
   p.ok = true;
@@ -50,10 +47,7 @@ TEST(ExportTest, RuntimeCsvEmitsSweepPoints) {
 }
 
 TEST(ExportTest, StabilityCsvEmitsEverySample) {
-  StabilityResult r;
-  r.id = "lr";
-  r.display = "LR";
-  r.stage = "baseline";
+  StabilityResult r{"lr", "LR", "baseline"};
   r.samples["accuracy"] = {0.8, 0.82};
   const std::string csv = StabilityToCsv({r});
   EXPECT_EQ(CountLines(csv), 3u);

@@ -53,10 +53,7 @@ TEST(ScalabilityTest, AttributeSweepRejectsTooFewAttrs) {
 }
 
 TEST(ScalabilityTest, FormatTableRendersNaForFailures) {
-  RuntimeCurve curve;
-  curve.id = "x";
-  curve.display = "X";
-  curve.stage = "pre";
+  RuntimeCurve curve{"x", "X", "pre", {}};
   RuntimePoint good;
   good.x = 10;
   good.ok = true;

@@ -14,12 +14,7 @@ constexpr char kCsv[] =
     "41,tech,F,yes\n";
 
 CsvReadOptions Options() {
-  CsvReadOptions options;
-  options.sensitive_column = "sex";
-  options.label_column = "hired";
-  options.privileged_value = "M";
-  options.favorable_value = "yes";
-  return options;
+  return CsvReadOptions{"sex", "hired", "M", "yes"};
 }
 
 TEST(CsvTest, ParsesTypesAndAnnotations) {
@@ -83,9 +78,7 @@ TEST(CsvTest, RaggedRowsAreErrors) {
   // Ragged rows fail during raw parsing, before column lookup.
   EXPECT_EQ(ParseCsv("a,b,s,y\n1,2,0\n", Options()).status().code(),
             StatusCode::kIoError);
-  CsvReadOptions options;
-  options.sensitive_column = "s";
-  options.label_column = "y";
+  const CsvReadOptions options{"s", "y"};
   EXPECT_EQ(ParseCsv("a,b,s,y\n1,2,0\n", options).status().code(),
             StatusCode::kIoError);
 }

@@ -5,6 +5,7 @@
 // request-scoped telemetry pipeline: score -> window -> alert under one id.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <set>
 #include <string>
 #include <utility>
@@ -45,7 +46,7 @@ class ScopedFullTelemetry {
   }
 };
 
-std::string HexId(uint64_t id) { return StrFormat("%016llx", id); }
+std::string HexId(uint64_t id) { return StrFormat("%016" PRIx64, id); }
 
 TEST(RequestTraceE2eTest, OneIdSpansEventsAlertsTraceAndExemplars) {
   ScopedFullTelemetry telemetry;

@@ -50,60 +50,5 @@ TEST(CholeskySolveTest, RandomSpdSystems) {
   }
 }
 
-TEST(LuSolveTest, SolvesGeneralSystem) {
-  const Matrix a = {{0, 2}, {1, 0}};  // Needs pivoting.
-  Result<Vector> x = LuSolve(a, {4, 3});
-  ASSERT_TRUE(x.ok());
-  EXPECT_NEAR((*x)[0], 3.0, 1e-12);
-  EXPECT_NEAR((*x)[1], 2.0, 1e-12);
-}
-
-TEST(LuSolveTest, DetectsSingular) {
-  const Matrix a = {{1, 2}, {2, 4}};
-  EXPECT_EQ(LuSolve(a, {1, 2}).status().code(),
-            StatusCode::kFailedPrecondition);
-}
-
-TEST(LuSolveTest, RandomSystemsRoundTrip) {
-  Rng rng(8);
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::size_t n = 2 + rng.UniformInt(5);
-    Matrix a(n, n, 0.0);
-    for (double& v : a.data()) v = rng.Gaussian();
-    for (std::size_t i = 0; i < n; ++i) a(i, i) += 3.0;  // Well-conditioned.
-    Vector rhs(n, 0.0);
-    for (double& v : rhs) v = rng.Gaussian();
-    Result<Vector> x = LuSolve(a, rhs);
-    ASSERT_TRUE(x.ok());
-    const Vector ax = a.MatVec(x.value());
-    for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(ax[i], rhs[i], 1e-8);
-  }
-}
-
-TEST(LeastSquaresTest, RecoversExactSolutionForConsistentSystem) {
-  const Matrix a = {{1, 0}, {0, 1}, {1, 1}};
-  const Vector b = {1.0, 2.0, 3.0};  // Consistent with x = (1, 2).
-  Result<Vector> x = LeastSquares(a, b);
-  ASSERT_TRUE(x.ok());
-  EXPECT_NEAR((*x)[0], 1.0, 1e-5);
-  EXPECT_NEAR((*x)[1], 2.0, 1e-5);
-}
-
-TEST(LeastSquaresTest, MinimizesResidualForOverdetermined) {
-  // Fit y = c to {1, 2, 3}: optimum is the mean 2.
-  const Matrix a = {{1.0}, {1.0}, {1.0}};
-  Result<Vector> x = LeastSquares(a, {1.0, 2.0, 3.0});
-  ASSERT_TRUE(x.ok());
-  EXPECT_NEAR((*x)[0], 2.0, 1e-6);
-}
-
-TEST(LeastSquaresTest, RidgeHandlesRankDeficiency) {
-  // Duplicate columns: unregularized normal equations are singular.
-  const Matrix a = {{1, 1}, {2, 2}, {3, 3}};
-  Result<Vector> x = LeastSquares(a, {2, 4, 6}, /*ridge=*/1e-6);
-  ASSERT_TRUE(x.ok());
-  EXPECT_NEAR((*x)[0] + (*x)[1], 2.0, 1e-3);
-}
-
 }  // namespace
 }  // namespace fairbench

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "data/generators/population.h"
 
 namespace fairbench {
@@ -97,6 +99,34 @@ TEST(CdTest, RejectsBadOptionsAndNullPredictor) {
   bad.confidence = 0.9;
   bad.error_bound = 0.0;
   EXPECT_FALSE(CausalDiscrimination(ds, ok, bad).ok());
+  // Non-finite options: every comparison with NaN is false, so a NaN must
+  // fail the checks rather than slip past them.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double error_bound : {nan, inf}) {
+    bad.error_bound = error_bound;
+    EXPECT_EQ(CausalDiscrimination(ds, ok, bad).status().code(),
+              StatusCode::kInvalidArgument)
+        << error_bound;
+  }
+  bad.error_bound = 0.01;
+  bad.confidence = nan;
+  EXPECT_EQ(CausalDiscrimination(ds, ok, bad).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(CdTest, OversizedSampleTargetUsesEveryRow) {
+  // error_bound = 1e-300 squares to 0, so the Hoeffding size is +inf.
+  const Dataset ds = SmallDataset(500);
+  std::size_t calls = 0;
+  RowPredictor partial = [&](std::size_t row, int s_override) -> Result<int> {
+    ++calls;
+    return row % 5 == 0 ? s_override : 0;
+  };
+  CdOptions options;
+  options.error_bound = 1e-300;
+  EXPECT_DOUBLE_EQ(CausalDiscrimination(ds, partial, options).value(), 0.2);
+  EXPECT_EQ(calls, 2u * 500u);
 }
 
 TEST(CdTest, EmptyDatasetScoresZero) {

@@ -35,7 +35,9 @@ TEST(ThresholdSweepTest, ProducesRequestedPoints) {
   for (std::size_t k = 0; k < sweep->size(); ++k) {
     EXPECT_GT((*sweep)[k].threshold, 0.0);
     EXPECT_LT((*sweep)[k].threshold, 1.0);
-    if (k > 0) EXPECT_GT((*sweep)[k].threshold, (*sweep)[k - 1].threshold);
+    if (k > 0) {
+      EXPECT_GT((*sweep)[k].threshold, (*sweep)[k - 1].threshold);
+    }
   }
 }
 

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "common/random.h"
-#include "optim/lbfgs.h"
+#include "lbfgs_oracle.h"
 
 namespace fairbench {
 namespace {

@@ -1,15 +1,33 @@
-#include "optim/lbfgs.h"
+#ifndef FAIRBENCH_TESTS_OPTIM_LBFGS_ORACLE_H_
+#define FAIRBENCH_TESTS_OPTIM_LBFGS_ORACLE_H_
+
+// Limited-memory BFGS: an independent quasi-Newton minimizer that
+// cg_newton_test compares MinimizeCgNewton against. lbfgs_test pins its
+// trajectories so the oracle itself cannot drift.
 
 #include <cmath>
-#include <limits>
 #include <deque>
+#include <limits>
 
+#include "optim/objective.h"
 #include "optim/solver_telemetry.h"
 
 namespace fairbench {
 
-OptimResult MinimizeLbfgs(const Objective& objective, Vector x0,
-                          const LbfgsOptions& options) {
+/// Options for limited-memory BFGS.
+struct LbfgsOptions {
+  int max_iterations = 200;
+  int history = 8;            ///< Number of (s, y) pairs retained.
+  double tolerance = 1e-7;    ///< Stop when ||grad||_inf < tolerance.
+  double armijo_c = 1e-4;
+  double backtrack_factor = 0.5;
+  int max_backtracks = 40;
+};
+
+/// Minimizes a smooth objective with the two-loop-recursion L-BFGS method
+/// and a weak-Wolfe line search.
+inline OptimResult MinimizeLbfgs(const Objective& objective, Vector x0,
+                                 const LbfgsOptions& options = {}) {
   OptimResult result;
   result.x = std::move(x0);
   const std::size_t n = result.x.size();
@@ -149,3 +167,5 @@ OptimResult MinimizeLbfgs(const Objective& objective, Vector x0,
 }
 
 }  // namespace fairbench
+
+#endif  // FAIRBENCH_TESTS_OPTIM_LBFGS_ORACLE_H_

@@ -1,4 +1,4 @@
-#include "optim/lbfgs.h"
+#include "lbfgs_oracle.h"
 
 #include <gtest/gtest.h>
 

@@ -213,7 +213,7 @@ TEST(ShardedScoringServiceTest, SwapLandsOnTheShardThatServesTheKey) {
 TEST(ShardedScoringServiceTest, ClearCacheDropsEveryShard) {
   const Fixture fx = MakeFixture();
   ShardedScoringService service;
-  for (const std::string& id : {"lr", "hardt", "kamcal"}) {
+  for (const char* id : {"lr", "hardt", "kamcal"}) {
     ASSERT_TRUE(service.Score(MakeRequest(fx, id)).ok());
   }
   EXPECT_GT(service.Stats().cache.size, 0u);

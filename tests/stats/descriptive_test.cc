@@ -4,8 +4,6 @@
 
 #include <cmath>
 
-#include "common/random.h"
-
 namespace fairbench {
 namespace {
 
@@ -60,37 +58,6 @@ TEST(SummarizeTest, EmptyInput) {
   const Summary s = Summarize({});
   EXPECT_EQ(s.count, 0u);
   EXPECT_DOUBLE_EQ(s.mean, 0.0);
-}
-
-TEST(CorrelationTest, PerfectAndAntiCorrelation) {
-  const std::vector<double> a = {1, 2, 3, 4};
-  const std::vector<double> up = {2, 4, 6, 8};
-  std::vector<double> down = {8, 6, 4, 2};
-  EXPECT_NEAR(PearsonCorrelation(a, up), 1.0, 1e-12);
-  EXPECT_NEAR(PearsonCorrelation(a, down), -1.0, 1e-12);
-}
-
-TEST(CorrelationTest, DegenerateIsZero) {
-  EXPECT_DOUBLE_EQ(PearsonCorrelation({1, 1, 1}, {2, 3, 4}), 0.0);
-  EXPECT_DOUBLE_EQ(PearsonCorrelation({}, {}), 0.0);
-}
-
-TEST(CorrelationTest, IndependentSamplesNearZero) {
-  Rng rng(3);
-  std::vector<double> a;
-  std::vector<double> b;
-  for (int i = 0; i < 5000; ++i) {
-    a.push_back(rng.Gaussian());
-    b.push_back(rng.Gaussian());
-  }
-  EXPECT_NEAR(PearsonCorrelation(a, b), 0.0, 0.05);
-}
-
-TEST(CovarianceTest, MatchesDefinition) {
-  const std::vector<double> a = {1, 2, 3};
-  const std::vector<double> b = {2, 4, 6};
-  // Population covariance of (a, 2a) = 2 * var_pop(a) = 2 * (2/3).
-  EXPECT_NEAR(Covariance(a, b), 4.0 / 3.0, 1e-12);
 }
 
 }  // namespace

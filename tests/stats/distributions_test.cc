@@ -7,24 +7,6 @@
 namespace fairbench {
 namespace {
 
-TEST(NormalTest, CdfKnownValues) {
-  EXPECT_NEAR(NormalCdf(0.0), 0.5, 1e-12);
-  EXPECT_NEAR(NormalCdf(1.959963985), 0.975, 1e-6);
-  EXPECT_NEAR(NormalCdf(-1.0), 0.158655, 1e-5);
-}
-
-TEST(NormalTest, QuantileInvertsCdf) {
-  for (double p : {0.001, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999}) {
-    EXPECT_NEAR(NormalCdf(NormalQuantile(p)), p, 1e-8) << p;
-  }
-}
-
-TEST(NormalTest, QuantileKnownValues) {
-  EXPECT_NEAR(NormalQuantile(0.975), 1.959964, 1e-5);
-  EXPECT_NEAR(NormalQuantile(0.5), 0.0, 1e-8);
-  EXPECT_NEAR(NormalQuantile(0.05), -1.644854, 1e-5);
-}
-
 TEST(LogGammaTest, MatchesFactorials) {
   EXPECT_NEAR(LogGamma(1.0), 0.0, 1e-10);
   EXPECT_NEAR(LogGamma(5.0), std::log(24.0), 1e-10);
@@ -47,8 +29,9 @@ TEST(StudentTTest, CdfKnownValues) {
   // t distribution with df=1 is Cauchy: CDF(1) = 0.75.
   EXPECT_NEAR(StudentTCdf(1.0, 1.0), 0.75, 1e-8);
   EXPECT_NEAR(StudentTCdf(0.0, 7.0), 0.5, 1e-12);
-  // Large df approaches the normal.
-  EXPECT_NEAR(StudentTCdf(1.96, 1e6), NormalCdf(1.96), 1e-4);
+  // Large df approaches the standard normal CDF.
+  EXPECT_NEAR(StudentTCdf(1.96, 1e6), 0.5 * std::erfc(-1.96 / std::sqrt(2.0)),
+              1e-4);
 }
 
 TEST(StudentTTest, QuantileKnownValues) {
@@ -63,23 +46,6 @@ TEST(StudentTTest, QuantileInvertsCdf) {
     for (double p : {0.05, 0.25, 0.75, 0.99}) {
       EXPECT_NEAR(StudentTCdf(StudentTQuantile(p, df), df), p, 1e-9);
     }
-  }
-}
-
-TEST(ChiSquareTest, SurvivalKnownValues) {
-  // P(X >= 3.841) = 0.05 for k=1; P(X >= 5.991) = 0.05 for k=2.
-  EXPECT_NEAR(ChiSquareSurvival(3.8415, 1.0), 0.05, 1e-3);
-  EXPECT_NEAR(ChiSquareSurvival(5.9915, 2.0), 0.05, 1e-3);
-  EXPECT_DOUBLE_EQ(ChiSquareSurvival(0.0, 3.0), 1.0);
-  EXPECT_DOUBLE_EQ(ChiSquareSurvival(-1.0, 3.0), 1.0);
-}
-
-TEST(ChiSquareTest, SurvivalMonotoneDecreasing) {
-  double prev = 1.0;
-  for (double x = 0.5; x < 20.0; x += 0.5) {
-    const double s = ChiSquareSurvival(x, 4.0);
-    EXPECT_LE(s, prev + 1e-12);
-    prev = s;
   }
 }
 

@@ -67,6 +67,26 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
 
+# run_suites DIR 'a|b|c' [ctest args...]: runs exactly the named suites of
+# the build tree DIR. The list is anchored as ^(a|b|c)$ so a name cannot
+# match other suites by substring, and every name must match exactly one
+# registered test (ctest -N) before anything runs, so a renamed or deleted
+# suite fails the stage instead of silently running nothing.
+run_suites() {
+  local dir="$1" names="$2"
+  shift 2
+  local registered name count
+  registered="$(ctest --test-dir "${dir}" -N | sed -n 's/^ *Test *#[0-9]*: //p')"
+  for name in ${names//|/ }; do
+    count="$(grep -cxF -- "${name}" <<<"${registered}" || true)"
+    if [[ "${count}" != 1 ]]; then
+      echo "ci: '${name}' matches ${count} tests in ${dir}" >&2
+      exit 1
+    fi
+  done
+  ctest --test-dir "${dir}" --output-on-failure "$@" -R "^(${names})\$"
+}
+
 echo "==> Stage 1: Release build + full test suite (jobs=${JOBS})"
 cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-ci -j "${JOBS}"
@@ -77,9 +97,8 @@ cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DFAIRBENCH_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "${JOBS}"
 # halt_on_error: any reported race fails the run rather than just logging.
-TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-tsan \
-    --output-on-failure -j "${JOBS}" \
-    -R 'thread_pool_test|task_group_test|parallel_for_test|determinism_test|experiment_test|crossval_test|stability_test|scalability_test|causal_discrimination_test|metrics_test|trace_test'
+TSAN_OPTIONS="halt_on_error=1" run_suites build-tsan \
+    'thread_pool_test|task_group_test|parallel_for_test|determinism_test|experiment_test|crossval_test|stability_test|scalability_test|causal_discrimination_test|metrics_test|trace_test' -j "${JOBS}"
 
 echo "==> Stage 3: Observability artifacts from a small bench run"
 OBS_DIR="build-ci/obs-check"
@@ -109,8 +128,8 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-asan -j "${JOBS}"
 # halt_on_error: any ASan report or UBSan diagnostic fails the run.
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
-    ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
-    -R 'kernel_differential_test|checked_ops_test|solve_edge_test|matrix_test|vector_ops_test|solve_test|gradient_descent_test|lbfgs_test|nmf_test|simplex_lp_test|maxsat_test|sat_solver_test|maxsat_differential_test|lp_edge_test|lp_warm_start_test'
+    run_suites build-asan \
+    'kernel_differential_test|checked_ops_test|solve_edge_test|matrix_test|vector_ops_test|solve_test|gradient_descent_test|lbfgs_test|nmf_test|simplex_lp_test|maxsat_test|sat_solver_test|maxsat_differential_test|lp_edge_test|lp_warm_start_test' -j "${JOBS}"
 
 echo "==> Stage 5: FAIRBENCH_OBS=OFF compile check + kernel differential and prediction golden runs"
 cmake -B build-obs-off -S . -DCMAKE_BUILD_TYPE=Release \
@@ -119,32 +138,29 @@ cmake --build build-obs-off -j "${JOBS}"
 # The optimized-vs-ref contract and every approach's predictions must
 # hold with the counters compiled out (no arithmetic may depend on the
 # obs macro expansion).
-ctest --test-dir build-obs-off --output-on-failure \
-    -R 'kernel_differential_test|prediction_golden_test'
+run_suites build-obs-off \
+    'kernel_differential_test|prediction_golden_test'
 
 echo "==> Stage 6: Serving gate (TSan cache smoke, ASan corruption/serve suites, bench schema)"
-TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-tsan \
-    --output-on-failure -j "${JOBS}" \
-    -R 'artifact_roundtrip_test|scoring_service_test'
+TSAN_OPTIONS="halt_on_error=1" run_suites build-tsan \
+    'artifact_roundtrip_test|scoring_service_test' -j "${JOBS}"
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
-    ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
-    -R 'artifact_corruption_test|artifact_roundtrip_test|scoring_service_test|hot_swap_test|sharded_scoring_service_test'
+    run_suites build-asan \
+    'artifact_corruption_test|artifact_roundtrip_test|scoring_service_test|hot_swap_test|sharded_scoring_service_test' -j "${JOBS}"
 # Single schema gate for the committed record (approaches, sharded,
 # zafar_cold_fit, and open_loop blocks) — shared with stage 10.
 python3 tools/record_bench.py --check-serve BENCH_serve.json
 
 echo "==> Stage 7: Monitoring gate (TSan monitor suites, bench schema)"
-TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-tsan \
-    --output-on-failure -j "${JOBS}" \
-    -R 'observer_queue_test|window_test|alert_policy_test|fairness_monitor_test|drift_detection_test'
+TSAN_OPTIONS="halt_on_error=1" run_suites build-tsan \
+    'observer_queue_test|window_test|alert_policy_test|fairness_monitor_test|drift_detection_test' -j "${JOBS}"
 # The monitor health gates live in record_bench.py --check-monitor so the
 # distiller and CI apply one set of rules to the committed record.
 python3 tools/record_bench.py --check-monitor BENCH_monitor.json
 
 echo "==> Stage 8: Telemetry-export gate (TSan HDR/telemetry, export round-trip)"
-TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-tsan \
-    --output-on-failure -j "${JOBS}" \
-    -R 'hdr_histogram_test|telemetry_test|request_trace_e2e_test'
+TSAN_OPTIONS="halt_on_error=1" run_suites build-tsan \
+    'hdr_histogram_test|telemetry_test|request_trace_e2e_test' -j "${JOBS}"
 EXPORT_DIR="build-ci/obs-export"
 mkdir -p "${EXPORT_DIR}"
 build-ci/tools/obs_export --dir "${EXPORT_DIR}" --rows 1500 --requests 12
@@ -184,17 +200,16 @@ EOF
 
 echo "==> Stage 9: Sparse-tier gate (ASan sparse/CG-Newton suites, kernel schema)"
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
-    ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
-    -R 'sparse_matrix_test|sparse_kernel_differential_test|sparse_encoder_test|sparse_logistic_test|cg_newton_test'
+    run_suites build-asan \
+    'sparse_matrix_test|sparse_kernel_differential_test|sparse_encoder_test|sparse_logistic_test|cg_newton_test' -j "${JOBS}"
 python3 tools/record_bench.py --check-kernels BENCH_kernels.json
 
 echo "==> Stage 10: Sharded-serving gate (TSan router/hot-swap suites, open-loop smoke)"
 # The hot-swap path (map updates under the service mutex while readers
 # score models a swap has replaced) and the consistent-hash router; the
 # swap storm and the sharded equivalence suites re-run under TSan.
-TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-tsan \
-    --output-on-failure -j "${JOBS}" \
-    -R 'consistent_hash_test|sharded_scoring_service_test|hot_swap_test|scoring_service_test'
+TSAN_OPTIONS="halt_on_error=1" run_suites build-tsan \
+    'consistent_hash_test|sharded_scoring_service_test|hot_swap_test|scoring_service_test' -j "${JOBS}"
 # Open-loop smoke under TSan: a Poisson schedule against the 4-shard tier
 # with a hot swap of every approach mid-run. load_gen itself exits
 # nonzero if any request or swap fails (the zero-failure gate).
@@ -208,9 +223,8 @@ echo "==> Stage 11: Solver gate (TSan SAT/MaxSAT/LP suites, solver bench schema)
 # LpBasisCache is shared mutable state across CV folds and SolveLp keeps
 # thread_local scratch — the concurrency suite drives both from
 # ParallelFor under TSan next to the full differential suites.
-TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-tsan \
-    --output-on-failure -j "${JOBS}" \
-    -R 'sat_solver_test|maxsat_test|maxsat_differential_test|simplex_lp_test|lp_edge_test|lp_warm_start_test|solver_concurrency_test'
+TSAN_OPTIONS="halt_on_error=1" run_suites build-tsan \
+    'sat_solver_test|maxsat_test|maxsat_differential_test|simplex_lp_test|lp_edge_test|lp_warm_start_test|solver_concurrency_test' -j "${JOBS}"
 python3 tools/record_bench.py --check-solvers BENCH_solvers.json
 
 echo "==> CI passed"
